@@ -15,10 +15,7 @@ def h_complete(k, m):
         return Poly.one()
     if m == 0:
         return Poly.zero()
-    out = Poly()
-    for c in compositions_of(k, m):
-        out = out + Poly.monomial(c)
-    return out
+    return Poly.from_terms((c, 1) for c in compositions_of(k, m))
 
 
 def h_sym(lam, m):
@@ -45,36 +42,29 @@ def h_flagged_matrix_oracle(a):
     matrices L with row sums a.  Must agree with h_flagged."""
     a = tuple(a)
     n = len(a)
-    out = Poly.zero()
 
     def rows(i, cols):
-        nonlocal out
         if i > n:
-            out = out + Poly.monomial(tuple(cols))
+            yield tuple(cols), 1
             return
         for c in compositions_of(a[i - 1], i):
-            rows(i + 1, [cols[j] + (c[j] if j < i else 0) for j in range(n)])
+            yield from rows(i + 1, [cols[j] + (c[j] if j < i else 0) for j in range(n)])
 
-    rows(1, [0] * n)
-    return out
+    return Poly.from_terms(rows(1, [0] * n))
 
 
 def schur_ssyt(lam, n):
     """Schur polynomial by direct SSYT weight sum; independent of key route."""
-    out = Poly.zero()
-    for rows in enumerate_fillings(tuple(lam), n, "SSYT"):
-        out = out + Poly.monomial(weight_of(rows, n))
-    return out
+    return Poly.from_terms((weight_of(rows, n), 1)
+                           for rows in enumerate_fillings(tuple(lam), n, "SSYT"))
 
 
 def key_polynomial(a, n=None):
     """Weight generating function of the SSKT of shape a."""
     a = tuple(a)
     n = len(a) if n is None else n
-    out = Poly.zero()
-    for rows in enumerate_fillings(a, n, "SSKT"):
-        out = out + Poly.monomial(weight_of(rows, n))
-    return out
+    return Poly.from_terms((weight_of(rows, n), 1)
+                           for rows in enumerate_fillings(a, n, "SSKT"))
 
 
 def demazure_atom(a, n=None):
@@ -82,11 +72,8 @@ def demazure_atom(a, n=None):
     alphabet reversed (variable i becomes x_{n+1-i})."""
     a = tuple(a)
     n = len(a) if n is None else n
-    shape = rev(a, n)
-    out = Poly.zero()
-    for rows in enumerate_fillings(shape, n, "rSSAF"):
-        out = out + Poly.monomial(rev(weight_of(rows, n), n))
-    return out
+    return Poly.from_terms((rev(weight_of(rows, n), n), 1)
+                           for rows in enumerate_fillings(rev(a, n), n, "rSSAF"))
 
 
 def ktilde(a, b):

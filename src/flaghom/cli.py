@@ -16,7 +16,7 @@ from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
 from .compositions import size, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse,
                    is_lower_triangular, matrix_from_biword, rsk, rsk_inverse)
-from .kohnert import build_Da, diagram, kohnert_closure, kohnert_polynomial
+from .kohnert import build_Da, diagram, diagram_weight, kohnert_closure
 from .polynomials import Poly, express_in_basis, poly_to_json
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
 from .schubert import h_schubert_expansion
@@ -28,11 +28,17 @@ def parse_comp(text):
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    parts = tuple(int(x) for x in text.split(","))
+    if any(x < 0 for x in parts):
+        raise ValueError(f"negative part in {text!r}")
+    return parts
 
 
 def parse_matrix(text):
-    return tuple(parse_comp(row) for row in text.strip().split(";"))
+    M = tuple(parse_comp(row) for row in text.strip().split(";"))
+    if len({len(row) for row in M}) > 1:
+        raise ValueError(f"rows of {text!r} have different lengths")
+    return M
 
 
 def parse_biword(text):
@@ -50,6 +56,8 @@ def rows_to_json(rows):
 
 
 def rows_from_json(data):
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
+        raise ValueError('filling JSON needs a "rows" list of rows')
     return tuple(tuple(r) for r in data["rows"])
 
 
@@ -148,7 +156,7 @@ def cmd_kohnert(args):
     else:
         raise SystemExit2("need --shape or --diagram")
     closure = kohnert_closure(D)
-    poly = kohnert_polynomial(D)
+    poly = Poly.from_terms((diagram_weight(T), 1) for T in closure)
     if args.json:
         out = {
             "cells": sorted(map(list, D)),

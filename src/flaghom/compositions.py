@@ -27,10 +27,6 @@ def pad(a, n):
     return a + (0,) * (n - len(a))
 
 
-def comp_eq(a, b):
-    return strip(a) == strip(b)
-
-
 def size(a):
     return sum(a)
 
@@ -98,13 +94,6 @@ def key_poset_leq(a, b):
         if a[i] > a[j] and not b[i] > b[j]:
             return False
     return True
-
-
-def young_leq(lam, mu):
-    """Containment order on partitions: lam_i <= mu_i for all i."""
-    n = max(len(lam), len(mu))
-    lam, mu = pad(tuple(lam), n), pad(tuple(mu), n)
-    return all(lam[i] <= mu[i] for i in range(n))
 
 
 def compositions_of(k, nparts):

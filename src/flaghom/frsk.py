@@ -37,15 +37,6 @@ def is_lower_triangular(A):
     return all(A[i][j] == 0 for i in range(len(A)) for j in range(i + 1, len(A[i])))
 
 
-def row_sums(A):
-    return tuple(sum(row) for row in A)
-
-
-def col_sums(A):
-    width = max((len(r) for r in A), default=0)
-    return tuple(sum(row[j] for row in A if len(row) > j) for j in range(width))
-
-
 # ---------------------------------------------------------------------------
 # classical insertion and RSK
 

@@ -64,10 +64,7 @@ def kohnert_closure(D):
 
 def kohnert_polynomial(D):
     """Weight generating function of the closure; the empty diagram gives 1."""
-    out = Poly.zero()
-    for T in kohnert_closure(D):
-        out = out + Poly.monomial(diagram_weight(T))
-    return out
+    return Poly.from_terms((diagram_weight(T), 1) for T in kohnert_closure(D))
 
 
 def _windows(a):

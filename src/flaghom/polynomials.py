@@ -17,12 +17,19 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exp, coef in terms.items():
-                if coef:
-                    clean[strip(exp)] = coef
-        self.terms = clean
+        self.terms = self.from_terms(terms.items() if terms else ()).terms
+
+    @classmethod
+    def from_terms(cls, pairs):
+        """Sum an iterable of (exponent, coef) pairs in one dict; exponents
+        equal up to trailing zeros merge and zero sums are dropped."""
+        out = {}
+        for exp, coef in pairs:
+            exp = strip(exp)
+            out[exp] = out.get(exp, 0) + coef
+        p = cls.__new__(cls)
+        p.terms = {e: c for e, c in out.items() if c}
+        return p
 
     @classmethod
     def zero(cls):
@@ -56,10 +63,6 @@ class Poly:
 
     def homogeneous_part(self, d):
         return Poly({e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def truncate_degree(self, d):
-        """Keep only terms of total degree at most d."""
-        return Poly({e: c for e, c in self.terms.items() if sum(e) <= d})
 
     def restrict_vars(self, k):
         """Set every variable beyond x_k to zero."""
@@ -184,10 +187,7 @@ def poly_to_json(p, n=None):
 
 
 def poly_from_json(data):
-    out = Poly()
-    for term in data:
-        out = out + Poly.monomial(tuple(term["exp"]), term["coef"])
-    return out
+    return Poly.from_terms((term["exp"], term["coef"]) for term in data)
 
 
 def express_in_basis(p, basis):
@@ -212,15 +212,15 @@ def express_in_basis(p, basis):
 
 def divided_difference(p, i):
     """The ith divided difference (f - s_i f) / (x_i - x_{i+1}), exactly."""
-    out = Poly()
-    for exp, coef in p.terms.items():
-        e = list(exp) + [0] * (i + 1 - len(exp))
-        a, b = e[i - 1], e[i]
-        if a == b:
-            continue
-        sign = 1 if a > b else -1
-        lo, hi = min(a, b), max(a, b)
-        for s in range(hi - lo):
-            e[i - 1], e[i] = lo + s, hi - 1 - s
-            out = out + Poly.monomial(tuple(e), sign * coef)
-    return out
+
+    def terms():
+        for exp, coef in p.terms.items():
+            e = list(exp) + [0] * (i + 1 - len(exp))
+            a, b = e[i - 1], e[i]
+            sign = 1 if a > b else -1
+            lo, hi = min(a, b), max(a, b)
+            for s in range(hi - lo):
+                e[i - 1], e[i] = lo + s, hi - 1 - s
+                yield tuple(e), sign * coef
+
+    return Poly.from_terms(terms())

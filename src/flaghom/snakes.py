@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bases import BasisExpansion
-from .compositions import key_poset_leq, pad, size, strip
+from .compositions import key_poset_leq, pad, strip
 from .fillings import enumerate_fillings, is_member, key_diagram, shape_of
 
 # ---------------------------------------------------------------------------
@@ -238,14 +238,7 @@ def validate_special_snake_tabloid(b, snakes):
 
 def inverse_ktilde(a, b):
     """Signed count of special snake tabloids of shape b and weight a."""
-    a = strip(a)
-    if size(a) != size(tuple(b)):
-        return 0
-    total = 0
-    for U in enumerate_special_snake_tabloids(b):
-        if strip(U.weight()) == a:
-            total += U.sign()
-    return total
+    return expand_key_into_h(b).coefficient(a)
 
 
 def expand_key_into_h(b, n=None):
@@ -275,17 +268,11 @@ def is_rim_hook(S, mu):
     if not S:
         return True
     e = complement_shape(S, host_shape)
-    if e is None or any(e[i] > e[i + 1] for i in range(len(e) - 1)):
-        return False
-    if len(connected_components(S)) != 1:
-        return False
-    return not any(
-        (c + 1, r) in S and (c, r + 1) in S and (c + 1, r + 1) in S
-        for c, r in S
-    )
+    return e is not None and _rim_hook_predicate(S, e, host_shape)
 
 
 def _rim_hook_predicate(S, e, d):
+    """Rim hook conditions on a piece S whose complement shape e is known."""
     if any(e[i] > e[i + 1] for i in range(len(e) - 1)):
         return False
     if len(connected_components(S)) != 1:

@@ -6,24 +6,26 @@ import time
 from dataclasses import dataclass, field
 
 from . import reference as ref
-from .bases import (demazure_atom, h_basis_family, h_flagged, h_sym,
-                    key_polynomial, kostka, ktilde, ktilde_upper, schur_ssyt)
+from .bases import (demazure_atom, h_basis_family, h_flagged,
+                    h_flagged_matrix_oracle, h_sym, key_polynomial, kostka,
+                    ktilde, ktilde_upper, schur_ssyt)
 from .compositions import (compositions_of, dominance_key, key_poset_leq, pad,
                            partitions_of, sort_comp, strip)
 from .fillings import (enumerate_fillings, is_member, key_diagram, statistics,
                        weight_of)
 from .frsk import (biword_from_matrix, frsk, frsk_inverse,
                    matrix_from_biword, rho, rho_inverse, rsk, tau, tau_dagger)
-from .kohnert import (build_Da, is_southwest, kohnert_closure, kohnert_moves,
-                      phi, phi_inverse)
+from .kohnert import (build_Da, diagram_weight, is_southwest, kohnert_closure,
+                      kohnert_moves, phi, phi_inverse)
 from .permutations import grassmannian_perm
 from .polynomials import Poly, express_in_basis
 from .schubert import (evaluate_expansion, h_schubert_expansion,
                        schubert_oracle, schubert_product_expansion)
-from .snakes import (SnakeTabloid, enumerate_special_rim_hook_tabloids,
-                     enumerate_special_snake_tabloids, gset_enumerate,
-                     in_gset, inverse_ktilde, iota, is_rim_hook, is_snake,
-                     s_attacks, special_snakes,
+from .snakes import (SnakeTabloid, complement_shape,
+                     enumerate_special_rim_hook_tabloids,
+                     enumerate_special_snake_tabloids, expand_key_into_h,
+                     gset_enumerate, in_gset, iota, is_rim_hook, is_snake,
+                     s_attacks, snake_sign, special_snakes,
                      validate_special_snake_tabloid)
 
 
@@ -130,9 +132,8 @@ def suite_kohnert(report, n, deg):
         D = build_Da(a, k)
         report.check(is_southwest(D), a=a, expected="southwest", got="not southwest")
         closure = kohnert_closure(D)
-        poly = Poly.zero()
+        poly = Poly.from_terms((diagram_weight(T), 1) for T in closure)
         for T in closure:
-            poly = poly + Poly.monomial(weight_of_diagram(T))
             L = phi(T, a)
             report.check(tuple(sum(row) for row in L) == a, a=a, kind="row sums",
                          expected=a, got=tuple(sum(row) for row in L))
@@ -140,14 +141,6 @@ def suite_kohnert(report, n, deg):
             report.check(back == T, a=a, matrix=L, expected=sorted(T), got=sorted(back))
         want = h_flagged(a, k)
         report.check(poly == want, a=a, expected=repr(want), got=repr(poly))
-
-
-def weight_of_diagram(D):
-    n = max((r for _, r in D), default=0)
-    counts = [0] * n
-    for _, r in D:
-        counts[r - 1] += 1
-    return tuple(counts)
 
 
 @_timed
@@ -207,35 +200,19 @@ def suite_cauchy(report, n, deg):
     side, skyline pairs of a common shape on the other, degree by degree."""
     n = 3 if n is None else n
     deg = 4 if deg is None else deg
-
-    def embed_x(a):
-        return pad(strip(a), n)
-
-    def embed_y(b):
-        return (0,) * n + tuple(b)
-
-    lhs = Poly.zero()
-    for d in range(deg + 1):
-        for rows in compositions_of(d, n):
-            # lower triangular matrices with the given row sums
-            def fill(i, cols):
-                nonlocal lhs
-                if i > n:
-                    lhs = lhs + Poly.monomial(embed_x(rows)) * Poly.monomial(embed_y(cols))
-                    return
-                for c in compositions_of(rows[i - 1], i):
-                    fill(i + 1, tuple(cols[j] + (c[j] if j < i else 0) for j in range(n)))
-
-            fill(1, (0,) * n)
+    # x^(row sums) y^(column sums) over lower triangular matrices
+    lhs = Poly.from_terms(
+        (rows + pad(cols, n), coef)
+        for d in range(deg + 1)
+        for rows in compositions_of(d, n)
+        for cols, coef in h_flagged_matrix_oracle(rows).terms.items())
     rhs = Poly.zero()
     for d in range(deg + 1):
         for a in compositions_of(d, n):
-            gen = Poly.zero()
-            for rows in enumerate_fillings(a, n, "rSSAF"):
-                gen = gen + Poly.monomial(embed_x(weight_of(rows, n)))
-            key_y = Poly.zero()
-            for e, coef in key_polynomial(a, n).terms.items():
-                key_y = key_y + Poly.monomial(embed_y(pad(e, n)), coef)
+            gen = Poly.from_terms((weight_of(rows, n), 1)
+                                  for rows in enumerate_fillings(a, n, "rSSAF"))
+            key_y = Poly.from_terms(((0,) * n + pad(e, n), coef)
+                                    for e, coef in key_polynomial(a, n).terms.items())
             rhs = rhs + gen * key_y
     for d in range(deg + 1):
         left = lhs.homogeneous_part(2 * d)
@@ -298,18 +275,18 @@ def suite_snakes(report, n, deg):
     as matrices."""
     nmax = 3 if n is None else n
     degmax = 5 if deg is None else deg
+    inverse = {}
     for k, b in _all_comps(nmax, degmax):
+        inverse[b] = expand_key_into_h(b)
         want = key_polynomial(b, k)
         got = Poly.zero()
-        for a in compositions_of(sum(b), k):
-            coef = inverse_ktilde(a, b)
-            if coef:
-                got = got + coef * h_flagged(pad(strip(a), k), k)
+        for a, coef in inverse[b].terms.items():
+            got = got + coef * h_flagged(pad(a, k), k)
         report.check(got == want, b=b, expected=repr(want), got=repr(got))
     for d in range(min(degmax, 4) + 1):
         comps = list(compositions_of(d, nmax))
         K = [[ktilde(c, a) for a in comps] for c in comps]
-        Kinv = [[inverse_ktilde(a, b) for b in comps] for a in comps]
+        Kinv = [[inverse[b].coefficient(a) for b in comps] for a in comps]
         for i in range(len(comps)):
             for j in range(len(comps)):
                 prod = sum(K[i][t] * Kinv[t][j] for t in range(len(comps)))
@@ -361,16 +338,16 @@ def suite_involution(report, n, deg):
     for k, b in _all_comps(nmax, degmax):
         if not b or b[0] == 0 or sum(b) == 0:
             continue
-        signed = Poly.zero()
+        terms = []
         for S, _shape in special_snakes(b):
             for rows in gset_enumerate(S, b, k):
-                signed = signed + snake_sign_of(S) * Poly.monomial(weight_of(rows, k))
+                terms.append((weight_of(rows, k), snake_sign(S)))
                 if is_member(rows, "SSKT", k):
                     continue
                 S2, rows2 = iota(S, rows, b, k)
                 report.check(rows2 == rows, b=b, kind="filling preserved", got=rows2)
-                report.check(snake_sign_of(S2) == -snake_sign_of(S), b=b,
-                             kind="sign reversed", got=snake_sign_of(S2))
+                report.check(snake_sign(S2) == -snake_sign(S), b=b,
+                             kind="sign reversed", got=snake_sign(S2))
                 report.check(in_gset(S2, rows, b, k) and not is_member(rows, "SSKT", k),
                              b=b, kind="stays in domain", got=(S2, rows))
                 S3, _ = iota(S2, rows, b, k)
@@ -378,19 +355,10 @@ def suite_involution(report, n, deg):
                 report.check(
                     sorted(s_attacks(S, rows, b)) == sorted(s_attacks(S2, rows, b)),
                     b=b, kind="attack set invariant", got=None)
+        signed = Poly.from_terms(terms)
         want = key_polynomial(b, k)
         report.check(signed == want, b=b, kind="signed sum",
                      expected=repr(want), got=repr(signed))
-
-
-def snake_sign_of(S):
-    return (-1) ** (len({r for _, r in S}) - 1) if S else 1
-
-
-def shape_after_removing(S, b):
-    from .snakes import complement_shape
-
-    return pad(complement_shape(S, b), len(b))
 
 
 @_timed
@@ -591,10 +559,9 @@ def suite_regressions(report, n, deg):
     # snake-decorated fillings sum to a shifted key polynomial
     for b, S in [((2, 1), frozenset({(1, 1), (2, 1)})),
                  ((2, 1), frozenset({(1, 1), (2, 1), (1, 2)}))]:
-        gen = Poly.zero()
-        for rows in gset_enumerate(S, b, len(b)):
-            gen = gen + Poly.monomial(weight_of(rows, len(b)))
-        rest = shape_after_removing(S, b)
+        gen = Poly.from_terms((weight_of(rows, len(b)), 1)
+                              for rows in gset_enumerate(S, b, len(b)))
+        rest = pad(complement_shape(S, b), len(b))
         want = Poly.variable(1) ** len(S) * key_polynomial(rest, len(b))
         add(f"decorated generating function {b} {sorted(S)}", gen == want,
             repr(want), repr(gen))
@@ -623,7 +590,3 @@ def run_suite(name, n=None, deg=None):
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name](n=n, deg=deg)
-
-
-def run_all(n=None, deg=None):
-    return [run_suite(name, n, deg) for name in SUITES]

@@ -114,3 +114,31 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")
     second = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")
     assert first == second
+
+
+def run_error(capsys, *argv):
+    """Exit code and stderr lines of a command that must be rejected."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "h", "key", "1,-1"),
+    ("expand", "h", "schubert", "1,-1"),
+    ("rsk", "--matrix", "1,2;3"),
+])
+def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
+    code, out, err = run_error(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_render_filling_names_missing_rows(capsys):
+    code, out, err = run_error(capsys, "render", "filling", "{}")
+    assert code == 2
+    assert len(err) == 1 and "rows" in err[0] and err[0] != "error: 'rows'"

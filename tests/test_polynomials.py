@@ -1,6 +1,7 @@
 import pytest
 
 from flaghom.bases import h_basis_family, h_complete, key_basis_family
+from flaghom.kohnert import build_Da, diagram_weight, kohnert_closure
 from flaghom.polynomials import (Poly, divided_difference, express_in_basis,
                                  poly_from_json, poly_to_json)
 
@@ -13,6 +14,21 @@ def test_addition():
     assert (X1 + X2).terms == {(1,): 1, (0, 1): 1}
     p = X1 * X2 + 3
     assert p + Poly.zero() == p
+
+
+def test_from_terms_cancels_merges_and_starts_at_zero():
+    assert Poly.from_terms([((1, 2), 3), ((1, 2), -3)]).is_zero()
+    assert Poly.from_terms([((1, 0), 2), ((1,), 5)]).terms == {(1,): 7}
+    assert Poly.from_terms([]) == Poly.zero()
+    assert Poly.from_terms(iter(())).terms == {}
+
+
+def test_from_terms_matches_repeated_monomial_sum():
+    closure = kohnert_closure(build_Da((1, 0, 2)))
+    want = Poly.zero()
+    for T in closure:
+        want = want + Poly.monomial(diagram_weight(T))
+    assert Poly.from_terms((diagram_weight(T), 1) for T in closure) == want
 
 
 def test_multiplication():
