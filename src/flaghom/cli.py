@@ -56,9 +56,11 @@ def rows_to_json(rows):
 
 
 def rows_from_json(data):
-    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
-        raise ValueError('filling JSON needs a "rows" list of rows')
-    return tuple(tuple(r) for r in data["rows"])
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(e) is int for e in r) for r in rows):
+        raise ValueError('filling JSON needs a "rows" list of integer lists')
+    return tuple(tuple(r) for r in rows)
 
 
 def emit_expansion(exp, args):
@@ -109,6 +111,8 @@ def cmd_expand(args):
 def cmd_rsk(args):
     if args.inverse:
         data = json.loads(args.pair if args.pair else sys.stdin.read())
+        if not isinstance(data, dict):
+            raise ValueError('pair JSON needs an object holding "P" and "Q" (or "S" and "T")')
         first = rows_from_json(data["P" if "P" in data else "S"])
         second = rows_from_json(data["Q" if "Q" in data else "T"])
         M = frsk_inverse(first, second) if args.flagged else rsk_inverse(first, second, args.n)
@@ -183,6 +187,10 @@ def cmd_snakes(args):
 
 
 def cmd_verify(args):
+    if args.n is not None and args.n < 1:
+        raise SystemExit2(f"--n must be at least 1, got {args.n}")
+    if args.deg is not None and args.deg < 0:
+        raise SystemExit2(f"--deg must be nonnegative, got {args.deg}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

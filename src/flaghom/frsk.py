@@ -7,7 +7,6 @@ a list of (top, bottom) pairs kept in the canonical order: top entries
 weakly increasing, bottom entries weakly decreasing within a constant top.
 """
 
-from .compositions import pad, strip
 from .fillings import is_member, shape_of
 
 
@@ -29,6 +28,8 @@ def matrix_from_biword(pairs, n=None):
         n = max((max(i, j) for i, j in pairs), default=0)
     M = [[0] * n for _ in range(n)]
     for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"biword letter of {(i, j)} outside [{n}]")
         M[i - 1][j - 1] += 1
     return tuple(tuple(r) for r in M)
 
@@ -69,13 +70,13 @@ def rsk_insert(P, j):
     return rsk_insert_trace(P, j)[0]
 
 
-def rsk(A):
-    """Fold the biword of A through row insertion; the recording tableau
-    takes the top letter at each new cell.  Returns (P, Q)."""
+def _fold(A, insert):
+    """Fold the biword of A through insert(P, i, j) -> (P, chain); the
+    recording rows take the top letter i at each new cell.  Returns (P, Q)."""
     P = ()
     Q = []
     for i, j in biword_from_matrix(A):
-        P, chain = rsk_insert_trace(P, j)
+        P, chain = insert(P, i, j)
         c, r = chain[-1]
         while len(Q) < r:
             Q.append([])
@@ -83,6 +84,11 @@ def rsk(A):
             raise AssertionError("new cell not at the end of its row")
         Q[r - 1].append(i)
     return P, tuple(tuple(r) for r in Q)
+
+
+def rsk(A):
+    """Fold the biword of A through row insertion.  Returns (P, Q)."""
+    return _fold(A, lambda P, i, j: rsk_insert_trace(P, j))
 
 
 def _rightmost_cell(rows, value):
@@ -214,50 +220,26 @@ def frsk(L):
     """
     if not is_lower_triangular(L):
         raise ValueError("matrix is not lower triangular")
-    n = len(L)
-    S = ()
-    T = [[] for _ in range(n)]
-    for i, j in biword_from_matrix(L):
-        S, chain = flagged_insert_trace(pad_rows(S, i), j, i)
-        c, r = chain[-1]
-        if len(T[r - 1]) != c - 1:
-            raise AssertionError("recording cell out of step")
-        T[r - 1].append(i)
-    return pad_rows(S, n), tuple(tuple(r) for r in T)
+    S, T = _fold(L, lambda S, i, j: flagged_insert_trace(pad_rows(S, i), j, i))
+    return pad_rows(S, len(L)), pad_rows(T, len(L))
 
 
 def frsk_inverse(S, T):
-    """Invert the flagged correspondence by reverse bumping: repeatedly strip
-    the rightmost largest recording entry and un-insert through the reverse
-    SSYT picture of the insertion filling.  Rejects pairs outside the image."""
+    """Invert the flagged correspondence through its column-set images.
+
+    Flagged insertion moves column sets exactly as classical insertion does,
+    so (tau(S), rho(T)) == rsk(L) for every lower triangular L, and tau and
+    rho are one-to-one on fillings of one shape (tau_dagger and rho_inverse
+    undo them).  Once (S, T) is known to be an (SSKT, rSSAF) pair of one
+    shape, L is the classical inverse of those images.  Rejects pairs
+    outside the image."""
     n = max(len(S), len(T))
-    S = tuple(pad_rows(S, n))
-    Trows = [list(r) for r in pad_rows(T, n)]
-    if shape_of(S) != tuple(len(r) for r in Trows):
+    S, T = pad_rows(S, n), pad_rows(T, n)
+    if shape_of(S) != shape_of(T):
         raise ValueError("fillings have different shapes")
     if not is_member(S, "SSKT", n) or not is_member(T, "rSSAF", n):
         raise ValueError("pair is not an (SSKT, rSSAF) pair")
-    pairs = []
-    while any(Trows):
-        i = max(max(row) for row in Trows if row)
-        c, r = _rightmost_cell(Trows, i)
-        if c != len(Trows[r - 1]):
-            raise ValueError("largest recording entry is not removable")
-        Trows[r - 1].pop()
-        a = shape_of(S)
-        P = [list(row) for row in tau(S)]
-        r_P = max(t for t, row in enumerate(P, 1) if len(row) == c)
-        j = _uninsert(P, r_P)
-        while P and not P[-1]:
-            P.pop()
-        a_prev = list(a)
-        a_prev[r - 1] -= 1
-        S = tau_dagger(tuple(tuple(row) for row in P), pad(strip(tuple(a_prev)), n))
-        pairs.append((i, j))
-    pairs.reverse()
-    if pairs != canonical_biword(pairs):
-        raise ValueError("pair is not a flagged RSK image")
-    M = matrix_from_biword(pairs, n)
+    M = rsk_inverse(tau(S), rho(T), n)
     if not is_lower_triangular(M):
         raise ValueError("recovered matrix is not lower triangular")
     return M

@@ -46,6 +46,20 @@ def apply_transposition(w, i, j):
     return strip_fixed(word)
 
 
+def covers(u, k, hi):
+    """Yield (j, u t_{i,j}) for each k-Bruhat cover of u with i <= k < j <= hi:
+    u(i) < u(j) and no i < m < j has u(i) < u(m) < u(j) (Bergeron-Sottile).
+    The scan right of each i keeps the least value above u(i) seen so far."""
+    w = pad_perm(u, max(hi, k))
+    for i in range(1, k + 1):
+        ceiling = len(w) + 1
+        for j in range(i + 1, hi + 1):
+            if w[i - 1] < w[j - 1] < ceiling:
+                ceiling = w[j - 1]
+                if j > k:
+                    yield j, apply_transposition(u, i, j)
+
+
 def k_bruhat_covers(u, k, universe=None):
     """All covers w = u t_{i,j} with i <= k < j and length(w) = length(u)+1.
 
@@ -55,15 +69,8 @@ def k_bruhat_covers(u, k, universe=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     u = strip_fixed(u)
-    lu = length(u)
     hi = max(len(u), k) + 1 if universe is None else universe
-    covers = set()
-    for j in range(k + 1, hi + 1):
-        for i in range(1, k + 1):
-            w = apply_transposition(u, i, j)
-            if length(w) == lu + 1:
-                covers.add(w)
-    return covers
+    return {w for _, w in covers(u, k, hi)}
 
 
 def grassmannian_perm(lam, k):

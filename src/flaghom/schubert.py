@@ -2,7 +2,7 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
-from .permutations import apply_transposition, length, strip_fixed
+from .permutations import covers, strip_fixed
 from .polynomials import Poly, divided_difference
 
 
@@ -16,14 +16,9 @@ def horizontal_strip_targets(u, k, m):
         if steps == m:
             out.add(w)
             return
-        lw = length(w)
-        for j in range(k + 1, max(len(w), k) + 2):
-            if j in used:
-                continue
-            for i in range(1, k + 1):
-                w2 = apply_transposition(w, i, j)
-                if length(w2) == lw + 1:
-                    extend(w2, used | {j}, steps + 1)
+        for j, w2 in covers(w, k, max(len(w), k) + 1):
+            if j not in used:
+                extend(w2, used | {j}, steps + 1)
 
     extend(u, frozenset(), 0)
     return out

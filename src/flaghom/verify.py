@@ -251,10 +251,11 @@ def suite_frsk(report, n, deg):
         report.check(weight_of(T, n) == tuple(sum(row) for row in L),
                      L=L, kind="row weights", got=weight_of(T, n))
         P, Q = rsk(L)
-        report.check((tau(S), rho(T)) == (P, Q), L=L, kind="column-set embedding",
-                     expected=(P, Q), got=(tau(S), rho(T)))
-        report.check(frsk_inverse(S, T) == L, L=L, kind="round trip",
-                     got=frsk_inverse(S, T))
+        images = (tau(S), rho(T))
+        report.check(images == (P, Q), L=L, kind="column-set embedding",
+                     expected=(P, Q), got=images)
+        inverse = frsk_inverse(S, T)
+        report.check(inverse == L, L=L, kind="round trip", got=inverse)
         # left inverse through the classical pair
         shp = tuple(len(r) for r in rho_inverse(Q, n))
         back = (tau_dagger(P, shp), rho_inverse(Q, n))

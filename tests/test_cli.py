@@ -130,6 +130,13 @@ def run_error(capsys, *argv):
     ("expand", "h", "key", "1,-1"),
     ("expand", "h", "schubert", "1,-1"),
     ("rsk", "--matrix", "1,2;3"),
+    ("render", "filling", '{"rows": [[1, "a"]]}'),
+    ("rsk", "--inverse", "--pair", "[1]"),
+    ("rsk", "--inverse", "--pair", '{"P": {"rows": [[0]]}, "Q": {"rows": [[1]]}}'),
+    ("rsk", "--inverse", "--flagged", "--pair",
+     '{"S": {"rows": [[0]]}, "T": {"rows": [[1]]}}'),
+    ("verify", "snakes", "--n", "0"),
+    ("verify", "frsk", "--deg", "-1"),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)

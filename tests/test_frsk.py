@@ -1,7 +1,8 @@
 import pytest
 
 from flaghom import reference as ref
-from flaghom.fillings import is_member, shape_of, weight_of
+from flaghom.compositions import compositions_of
+from flaghom.fillings import enumerate_fillings, is_member, shape_of, weight_of
 from flaghom.frsk import (biword_from_matrix, canonical_biword,
                           flagged_insert, flagged_insert_trace, frsk,
                           frsk_inverse, lift_F, matrix_from_biword, pad_rows,
@@ -164,6 +165,31 @@ def test_inverse_rejects_bad_pairs():
         frsk_inverse(((2,), ()), ((1,), ()))  # not an SSKT (2 > basement 1)
     with pytest.raises(ValueError):
         rsk_inverse(((1, 1),), ((1,), (2,)))  # shapes differ
+    # bottom letters outside [n] name no column of the matrix
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            rsk_inverse(((bad,),), ((1,),))
+        with pytest.raises(ValueError):
+            frsk_inverse(((bad,),), ((1,),))
+        with pytest.raises(ValueError):
+            matrix_from_biword([(1, bad)])
+    with pytest.raises(ValueError):
+        matrix_from_biword([(3, 1)], 2)
+
+
+def test_every_small_pair_is_an_image():
+    # from the pair side: each equal-shape (SSKT, rSSAF) pair comes from
+    # exactly the matrix that frsk_inverse returns
+    count = 0
+    for n in range(1, 5):
+        for d in range(5):
+            for a in compositions_of(d, n):
+                rSSAF = enumerate_fillings(a, n, "rSSAF")
+                for S in enumerate_fillings(a, n, "SSKT"):
+                    for T in rSSAF:
+                        assert frsk(frsk_inverse(S, T)) == (S, T), (S, T)
+                        count += 1
+    assert count == 1251
 
 
 def test_insertion_commutes_with_column_stack():

@@ -5,6 +5,7 @@ import pytest
 from flaghom.permutations import (apply_transposition, grassmannian_perm,
                                   k_bruhat_covers, length, pad_perm,
                                   strip_fixed)
+from flaghom.schubert import horizontal_strip_targets
 
 
 def test_strip_fixed_points():
@@ -37,13 +38,40 @@ def test_cover_examples():
 
 
 def test_covers_match_brute_force():
-    for base in all_perms(range(1, 4)):
-        for k in (1, 2, 3):
+    for base in all_perms(range(1, 5)):
+        for k in (1, 2, 3, 4):
             got = k_bruhat_covers(base, k)
             # a window two positions past the support cannot add covers
             assert got == _covers_brute(base, k, len(base) + 2)
             for w in got:
                 assert length(w) == length(strip_fixed(base)) + 1
+
+
+def _strip_targets_brute(u, k, m):
+    """Ends of length-m chains of brute-force covers with distinct j, where
+    j is the last position a cover moves."""
+    window = max(len(u), k) + m + 1
+    out = set()
+
+    def extend(w, used, steps):
+        if steps == m:
+            out.add(w)
+            return
+        for w2 in _covers_brute(w, k, window):
+            pairs = zip(pad_perm(w, window), pad_perm(w2, window))
+            j = max(p for p, (x, y) in enumerate(pairs, 1) if x != y)
+            if j not in used:
+                extend(w2, used | {j}, steps + 1)
+
+    extend(strip_fixed(u), frozenset(), 0)
+    return out
+
+
+def test_strip_targets_match_brute_force():
+    for base in all_perms(range(1, 5)):
+        for k in (1, 2, 3, 4):
+            for m in range(4):
+                assert horizontal_strip_targets(base, k, m) == _strip_targets_brute(base, k, m)
 
 
 @pytest.mark.parametrize("lam, k, want", [
