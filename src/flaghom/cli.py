@@ -55,10 +55,15 @@ def rows_to_json(rows):
     return {"shape": [len(r) for r in rows], "rows": [list(r) for r in rows]}
 
 
+def is_int_rows(rows):
+    """Whether a JSON value is a list of integer lists."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and all(type(e) is int for e in r) for r in rows)
+
+
 def rows_from_json(data):
     rows = data.get("rows") if isinstance(data, dict) else None
-    if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(type(e) is int for e in r) for r in rows):
+    if not is_int_rows(rows):
         raise ValueError('filling JSON needs a "rows" list of integer lists')
     return tuple(tuple(r) for r in rows)
 
@@ -111,7 +116,8 @@ def cmd_expand(args):
 def cmd_rsk(args):
     if args.inverse:
         data = json.loads(args.pair if args.pair else sys.stdin.read())
-        if not isinstance(data, dict):
+        if not (isinstance(data, dict) and {"P", "S"} & data.keys()
+                and {"Q", "T"} & data.keys()):
             raise ValueError('pair JSON needs an object holding "P" and "Q" (or "S" and "T")')
         first = rows_from_json(data["P" if "P" in data else "S"])
         second = rows_from_json(data["Q" if "Q" in data else "T"])
@@ -215,8 +221,13 @@ def cmd_render(args):
     if args.kind == "filling":
         print(render_filling(rows_from_json(data), args.n))
     elif args.kind == "diagram":
-        print(render_diagram(diagram(data["cells"]), args.n))
+        cells = data.get("cells") if isinstance(data, dict) else None
+        if not is_int_rows(cells) or any(len(cell) != 2 for cell in cells):
+            raise ValueError('diagram JSON needs a "cells" list of [column, row] pairs')
+        print(render_diagram(diagram(cells), args.n))
     elif args.kind == "matrix":
+        if not is_int_rows(data) or len({len(row) for row in data}) > 1:
+            raise ValueError("matrix JSON needs a list of integer rows of equal length")
         print(render_matrix(data))
     else:
         raise SystemExit2(f"unknown render kind {args.kind!r}")

@@ -116,6 +116,8 @@ def _uninsert(rows, r):
 
 def rsk_inverse(P, Q, n=None):
     """Recover the matrix from a (reverse SSYT, SSYT) pair of equal shape."""
+    if not is_member(P, "rSSYT") or not is_member(Q, "SSYT"):
+        raise ValueError("need a reverse SSYT and an SSYT")
     P = [list(r) for r in P]
     Q = [list(r) for r in Q]
     if [len(r) for r in P] != [len(r) for r in Q]:

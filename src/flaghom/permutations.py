@@ -23,13 +23,6 @@ def pad_perm(w, m):
     return w + tuple(range(len(w) + 1, m + 1))
 
 
-def check_perm(w):
-    w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{w} is not a permutation of [{len(w)}]")
-    return w
-
-
 def length(w):
     """Coxeter length: the number of inversions of the one-line word."""
     w = tuple(w)

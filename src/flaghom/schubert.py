@@ -86,7 +86,6 @@ def schubert_oracle(w, n):
 
 def evaluate_expansion(expansion, n):
     """Recombine a Schubert expansion through the oracle."""
-    out = Poly.zero()
-    for w, coef in expansion.items():
-        out = out + coef * schubert_oracle(w, n)
-    return out
+    return Poly.from_terms((e, coef * c)
+                           for w, coef in expansion.items()
+                           for e, c in schubert_oracle(w, n).terms.items())

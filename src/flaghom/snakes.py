@@ -80,15 +80,6 @@ def complement_shape(S, b):
     return tuple(a)
 
 
-def _no_snake_triple(S):
-    """No (c, s), (c+1, s), (c+1, r) in S with r < s."""
-    S = frozenset(S)
-    for c, s in S:
-        if (c + 1, s) in S and any((c + 1, r) in S for r in range(1, s)):
-            return False
-    return True
-
-
 def is_snake(S, b):
     """Weakly connected, complement a key-poset-lower key diagram, and free
     of the horizontal-pair-with-lower-right-cell triple.  The empty set is
@@ -97,11 +88,7 @@ def is_snake(S, b):
     if not S:
         return True
     a = complement_shape(S, b)
-    if a is None or not key_poset_leq(a, b):
-        return False
-    if len(weakly_connected_components(S)) != 1:
-        return False
-    return _no_snake_triple(S)
+    return a is not None and _snake_predicate(a, b)
 
 
 def lowest_column_one_cell(b):
@@ -128,9 +115,9 @@ def snake_sign(S):
 
 
 def _special_pieces(d, predicate):
-    """Special pieces of the residual shape d: subsets containing the anchor
-    cell whose complement shape passes the given predicate, generated as row
-    segment unions (complement compositions e with e_anchor = 0)."""
+    """Special pieces of the residual shape d, named by their complement
+    compositions e with e_anchor = 0: yields (D(d) - D(e), e) for each e
+    that predicate(e, d) accepts."""
     d = tuple(d)
     anchor = lowest_column_one_cell(d)
     if anchor is None:
@@ -139,17 +126,31 @@ def _special_pieces(d, predicate):
     host = key_diagram(d)
     ranges = [range(d[r - 1] + 1) if r != i else (0,) for r in range(1, len(d) + 1)]
     for e in product(*ranges):
-        S = host - key_diagram(e)
-        if predicate(S, e, d):
-            yield frozenset(S), tuple(e)
+        if predicate(e, d):
+            yield host - key_diagram(e), e
 
 
-def _snake_predicate(S, e, d):
-    return (
-        key_poset_leq(e, d)
-        and len(weakly_connected_components(S)) == 1
-        and _no_snake_triple(S)
-    )
+def _snake_predicate(e, d):
+    """Snake test on the piece D(d) - D(e), read off its row segments
+    (e_r, d_r].  Rows r < s hold a triple (c, s), (c+1, s), (c+1, r) iff
+    max(e_s + 2, e_r + 1) <= min(d_s, d_r), and touch (a shared column, or
+    a cell of row s left of a cell of row r) iff
+    max(e_r, e_s) < min(d_r, d_s + 1)."""
+    if not key_poset_leq(e, d):
+        return False
+    rows = [r for r in range(len(d)) if e[r] < d[r]]
+    touching = {r: [] for r in rows}
+    for k, r in enumerate(rows):
+        for s in rows[k + 1:]:
+            if max(e[s] + 2, e[r] + 1) <= min(d[s], d[r]):
+                return False
+            if max(e[r], e[s]) < min(d[r], d[s] + 1):
+                touching[r].append(s)
+                touching[s].append(r)
+    group = {rows[0]}
+    for _ in rows:
+        group |= {s for r in group for s in touching[r]}
+    return len(group) == len(rows)
 
 
 def special_snakes(b):
@@ -184,35 +185,32 @@ class SnakeTabloid:
         }
 
 
-def _tabloids(shape, pieces):
-    shape = tuple(shape)
+def _tabloids(shape, predicate):
+    """Snake sequences of every tabloid of the shape, depth first; the
+    sequences completing a residual shape from row i on are built once."""
     n = len(shape)
-    out = []
+    memo = {}
 
-    def go(d, i, acc):
+    def go(d, i):
         if i > n:
-            if any(d):
-                return
-            out.append(tuple(acc))
-            return
-        if d[i - 1] == 0:
-            go(d, i + 1, acc + [frozenset()])
-            return
-        for S, e in pieces(d):
-            go(e, i + 1, acc + [S])
+            return () if any(d) else ((),)
+        if (d, i) not in memo:
+            if d[i - 1] == 0:
+                memo[d, i] = tuple((frozenset(),) + rest for rest in go(d, i + 1))
+            else:
+                memo[d, i] = tuple((S,) + rest
+                                   for S, e in _special_pieces(d, predicate)
+                                   for rest in go(e, i + 1))
+        return memo[d, i]
 
-    go(shape, 1, [])
-    return out
+    return go(tuple(shape), 1)
 
 
 def enumerate_special_snake_tabloids(b):
     """All special snake tabloids of shape b, depth first in the order the
     snakes are generated."""
     b = tuple(b)
-    return [
-        SnakeTabloid(b, snakes)
-        for snakes in _tabloids(b, lambda d: _special_pieces(d, _snake_predicate))
-    ]
+    return [SnakeTabloid(b, snakes) for snakes in _tabloids(b, _snake_predicate)]
 
 
 def validate_special_snake_tabloid(b, snakes):
@@ -268,13 +266,14 @@ def is_rim_hook(S, mu):
     if not S:
         return True
     e = complement_shape(S, host_shape)
-    return e is not None and _rim_hook_predicate(S, e, host_shape)
+    return e is not None and _rim_hook_predicate(e, host_shape)
 
 
-def _rim_hook_predicate(S, e, d):
-    """Rim hook conditions on a piece S whose complement shape e is known."""
+def _rim_hook_predicate(e, d):
+    """Rim hook conditions on the piece D(d) - D(e), tested on its cells."""
     if any(e[i] > e[i + 1] for i in range(len(e) - 1)):
         return False
+    S = key_diagram(d) - key_diagram(e)
     if len(connected_components(S)) != 1:
         return False
     return not any(
@@ -287,10 +286,7 @@ def enumerate_special_rim_hook_tabloids(mu):
     """Tabloids of shape rev(mu) whose pieces are special rim hooks; same
     recursion as the snake tabloids with the rim hook conditions instead."""
     shape = tuple(reversed(tuple(mu)))
-    return [
-        SnakeTabloid(shape, snakes)
-        for snakes in _tabloids(shape, lambda d: _special_pieces(d, _rim_hook_predicate))
-    ]
+    return [SnakeTabloid(shape, snakes) for snakes in _tabloids(shape, _rim_hook_predicate)]
 
 
 # ---------------------------------------------------------------------------

@@ -152,16 +152,13 @@ def suite_key_atom(report, n, deg):
     degmax = 4 if deg is None else deg
     for k, b in _all_comps(nmax, degmax):
         want = h_flagged(b, k)
-        via_keys = Poly.zero()
-        via_atoms = Poly.zero()
-        for a in compositions_of(sum(b), k):
-            c1 = ktilde(a, b)
-            c2 = ktilde_upper(a, b)
+        counts = [(a, ktilde(a, b), ktilde_upper(a, b)) for a in compositions_of(sum(b), k)]
+        for a, c1, c2 in counts:
             report.check(c1 >= 0 and c2 >= 0, a=a, b=b, got=(c1, c2))
-            if c1:
-                via_keys = via_keys + c1 * key_polynomial(a, k)
-            if c2:
-                via_atoms = via_atoms + c2 * demazure_atom(a, k)
+        via_keys = Poly.from_terms((e, c1 * c) for a, c1, _ in counts if c1
+                                   for e, c in key_polynomial(a, k).terms.items())
+        via_atoms = Poly.from_terms((e, c2 * c) for a, _, c2 in counts if c2
+                                    for e, c in demazure_atom(a, k).terms.items())
         report.check(via_keys == want, b=b, basis="key",
                      expected=repr(want), got=repr(via_keys))
         report.check(via_atoms == want, b=b, basis="atom",
@@ -206,14 +203,15 @@ def suite_cauchy(report, n, deg):
         for d in range(deg + 1)
         for rows in compositions_of(d, n)
         for cols, coef in h_flagged_matrix_oracle(rows).terms.items())
-    rhs = Poly.zero()
+    products = []
     for d in range(deg + 1):
         for a in compositions_of(d, n):
             gen = Poly.from_terms((weight_of(rows, n), 1)
                                   for rows in enumerate_fillings(a, n, "rSSAF"))
             key_y = Poly.from_terms(((0,) * n + pad(e, n), coef)
                                     for e, coef in key_polynomial(a, n).terms.items())
-            rhs = rhs + gen * key_y
+            products.append(gen * key_y)
+    rhs = Poly.from_terms(term for p in products for term in p.terms.items())
     for d in range(deg + 1):
         left = lhs.homogeneous_part(2 * d)
         right = rhs.homogeneous_part(2 * d)
@@ -280,9 +278,8 @@ def suite_snakes(report, n, deg):
     for k, b in _all_comps(nmax, degmax):
         inverse[b] = expand_key_into_h(b)
         want = key_polynomial(b, k)
-        got = Poly.zero()
-        for a, coef in inverse[b].terms.items():
-            got = got + coef * h_flagged(pad(a, k), k)
+        got = Poly.from_terms((e, coef * c) for a, coef in inverse[b].terms.items()
+                              for e, c in h_flagged(pad(a, k), k).terms.items())
         report.check(got == want, b=b, expected=repr(want), got=repr(got))
     for d in range(min(degmax, 4) + 1):
         comps = list(compositions_of(d, nmax))

@@ -137,12 +137,17 @@ def run_error(capsys, *argv):
      '{"S": {"rows": [[0]]}, "T": {"rows": [[1]]}}'),
     ("verify", "snakes", "--n", "0"),
     ("verify", "frsk", "--deg", "-1"),
+    ("rsk", "--inverse", "--pair", "{}"),
+    ("render", "diagram", "{}"),
+    ("render", "matrix", "5"),
+    ("render", "matrix", "[[1, 2], [3]]"),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0] not in ("error: 'S'", "error: 'cells'")  # a bare KeyError names nothing
 
 
 def test_render_filling_names_missing_rows(capsys):

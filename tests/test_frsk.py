@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from flaghom import reference as ref
-from flaghom.compositions import compositions_of
+from flaghom.compositions import compositions_of, partitions_of
 from flaghom.fillings import enumerate_fillings, is_member, shape_of, weight_of
 from flaghom.frsk import (biword_from_matrix, canonical_biword,
                           flagged_insert, flagged_insert_trace, frsk,
@@ -175,6 +177,28 @@ def test_inverse_rejects_bad_pairs():
             matrix_from_biword([(1, bad)])
     with pytest.raises(ValueError):
         matrix_from_biword([(3, 1)], 2)
+    # P must be a reverse SSYT and Q an SSYT
+    for P, Q in [(((1, 2),), ((1, 2),)), (((1,), (2,)), ((1,), (2,)))]:
+        with pytest.raises(ValueError):
+            rsk_inverse(P, Q)
+    # every equal-shape pair of fillings with entries in [3] and at most four
+    # cells is either rejected or inverted to a matrix that maps back to it
+    inverted = 0
+    for k in range(5):
+        for shape in partitions_of(k):
+            fillings = []
+            for vals in product((1, 2, 3), repeat=k):
+                entries = iter(vals)
+                fillings.append(tuple(tuple(next(entries) for _ in range(part))
+                                      for part in shape))
+            for P, Q in product(fillings, repeat=2):
+                try:
+                    M = rsk_inverse(P, Q)
+                except ValueError:
+                    continue
+                assert rsk(M) == (P, Q), (P, Q)
+                inverted += 1
+    assert inverted == 715  # the (reverse SSYT, SSYT) pairs among them
 
 
 def test_every_small_pair_is_an_image():

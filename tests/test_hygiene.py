@@ -1,4 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: every name a library module imports is used in it, and
+every top-level function and class of a library module is referred to by
+name somewhere in the package or the tests, outside its own body.
 
 The package ``__init__`` is exempt, since its imports are re-exports.
 """
@@ -10,8 +12,10 @@ import pytest
 
 import flaghom
 
-MODULES = sorted(p for p in Path(flaghom.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(flaghom.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -36,3 +40,41 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(sources):
+    """Names read or taken as attributes in the sources; a top-level function
+    or class referring to itself does not count."""
+    used = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, DEFINITIONS):
+                names.discard(stmt.name)
+            used |= names
+    return used
+
+
+def unreferenced_definitions(source, used):
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, DEFINITIONS) and stmt.name not in used]
+
+
+def test_detects_an_unreferenced_definition():
+    library = ("def kept():\n    return 1\n\n"
+               "def dead(k):\n    return dead(k - 1)\n\n"
+               "class Held:\n    pass\n")
+    used = referenced_names([library, "kept()\nx = m.Held\n"])
+    assert unreferenced_definitions(library, used) == ["dead"]
+
+
+@pytest.fixture(scope="module")
+def used_names():
+    return referenced_names(p.read_text() for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path, used_names):
+    assert unreferenced_definitions(path.read_text(), used_names) == []

@@ -65,6 +65,33 @@ def test_snakes_of_reversed_partition_are_rim_hooks():
                 assert is_snake(S, shape) == is_rim_hook(S, mu), (mu, sorted(S))
 
 
+def _snake_by_definition(S, b):
+    """The cell-set definition: one weakly connected component, no triple
+    (c, s), (c+1, s), (c+1, r) with r < s, and a complement that is the key
+    diagram of a composition below b in the key poset."""
+    if not S:
+        return True
+    rest = key_diagram(b) - S
+    a = tuple(sum(1 for _, r in rest if r == row) for row in range(1, len(b) + 1))
+    return (rest == key_diagram(a) and key_poset_leq(a, b)
+            and len(weakly_connected_components(S)) == 1
+            and not any((c + 1, s) in S and (c + 1, r) in S
+                        for c, s in S for r in range(1, s)))
+
+
+def test_snake_test_matches_cell_set_definition():
+    checked = 0
+    for n in range(1, 5):
+        for d in range(7):
+            for b in compositions_of(d, n):
+                cells = sorted(key_diagram(b))
+                for mask in range(1 << len(cells)):
+                    S = frozenset(cells[t] for t in range(len(cells)) if mask >> t & 1)
+                    assert is_snake(S, b) == _snake_by_definition(S, b), (b, sorted(S))
+                    checked += 1
+    assert checked == 11_648
+
+
 def test_special_snake_enumeration_matches_subset_filter():
     for b in [(2, 1), (1, 2), (2, 0, 1), (3, 1), (1, 1, 1)]:
         cells = sorted(key_diagram(b))
