@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion below runs at its full stated range with
 exact (zero-tolerance) comparisons and prints one pass/fail line."""
 
-from flaghom.verify import run_suite
+from flaghom.polynomials import Poly
+from flaghom.verify import VerifyReport, run_suite
 
 
 def _run(criterion, name, n=None, deg=None, max_seconds=None):
@@ -61,3 +62,11 @@ def test_criterion_11_schubert_expansion():
 
 def test_criterion_12_pinned_value_regressions():
     _run(12, "regressions")
+
+
+def test_failure_detail_writes_polynomials_out():
+    report = VerifyReport("demo")
+    report.check(True, expected=Poly.variable(1), got=Poly.zero())
+    report.check(False, b=(1, 0), expected=Poly.variable(1), got=Poly.zero())
+    assert report.instances == 2
+    assert report.failures == [{"b": (1, 0), "expected": "x1", "got": "0"}]
