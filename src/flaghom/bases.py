@@ -11,6 +11,8 @@ from .polynomials import Poly, grlex_key
 
 def h_complete(k, m):
     """The complete homogeneous polynomial h_k(x_1, ..., x_m)."""
+    if k < 0:
+        raise ValueError(f"negative degree {k}")
     if k == 0:
         return Poly.one()
     if m == 0:
@@ -128,45 +130,41 @@ class BasisExpansion:
         }
 
 
+def _expand(b, n, basis, count):
+    """Expansion of the flagged homogeneous element indexed by b in the named
+    basis of n variables, whose coefficient on the element of a is count(a, b)."""
+    b = tuple(b)
+    length = len(strip(b))
+    n = max(length, 1) if n is None else n
+    if n < length:
+        raise ValueError(f"ambient {n} smaller than length of {b}")
+    return BasisExpansion(basis, {a: count(a, b) for a in compositions_of(size(b), n)})
+
+
 def expand_h_into_keys(b, n=None):
     """Key-basis expansion of the flagged homogeneous element indexed by b."""
-    b = tuple(b)
-    n = max(len(strip(b)), 1) if n is None else n
-    terms = {}
-    for a in compositions_of(size(b), n):
-        c = ktilde(a, b)
-        if c:
-            terms[strip(a)] = c
-    return BasisExpansion("key", terms)
+    return _expand(b, n, "key", ktilde)
 
 
 def expand_h_into_atoms(b, n=None):
     """Atom-basis expansion of the flagged homogeneous element indexed by b."""
-    b = tuple(b)
-    n = max(len(strip(b)), 1) if n is None else n
-    terms = {}
-    for a in compositions_of(size(b), n):
-        c = ktilde_upper(a, b)
-        if c:
-            terms[strip(a)] = c
-    return BasisExpansion("atom", terms)
+    return _expand(b, n, "atom", ktilde_upper)
+
+
+def _family(degrees, n, element):
+    """(a, element(a, n)) for the compositions a of the given total degrees
+    into n parts, listed along the fixed linear extension of dominance order."""
+    return [(a, element(a, n)) for d in sorted(set(degrees))
+            for a in sorted(compositions_of(d, n), key=lambda a: dominance_key(a, n))]
 
 
 def h_basis_family(degrees, n):
     """The flagged homogeneous elements of the given total degrees in n
-    variables, listed along the fixed linear extension of dominance order.
-    Suitable as the triangular family for express_in_basis."""
-    family = []
-    for d in sorted(set(degrees)):
-        for a in sorted(compositions_of(d, n), key=lambda a: dominance_key(a, n)):
-            family.append((a, h_flagged(a, n)))
-    return family
+    variables, in dominance-extension order.  Suitable as the triangular
+    family for express_in_basis."""
+    return _family(degrees, n, h_flagged)
 
 
 def key_basis_family(degrees, n):
     """Key polynomials of the given degrees, dominance-extension order."""
-    family = []
-    for d in sorted(set(degrees)):
-        for a in sorted(compositions_of(d, n), key=lambda a: dominance_key(a, n)):
-            family.append((a, key_polynomial(a, n)))
-    return family
+    return _family(degrees, n, key_polynomial)

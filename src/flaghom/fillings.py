@@ -183,6 +183,8 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     monotonicity, and triple conditions enforced on prefixes.
     """
     shape = tuple(shape)
+    if min(shape, default=0) < 0:
+        raise ValueError(f"negative part in shape {shape}")
     if n < len(strip(shape)):
         raise ValueError(f"ambient {n} smaller than shape length")
     if flavor not in FLAVORS:
@@ -190,6 +192,8 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
     if weight is not None:
+        if min(weight, default=0) < 0:
+            raise ValueError(f"negative part in weight {tuple(weight)}")
         weight = pad(strip(weight), n) if len(strip(weight)) <= n else None
         if weight is None or sum(weight) != sum(shape):
             return []

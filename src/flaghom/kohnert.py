@@ -81,6 +81,8 @@ def build_Da(a, n=None):
     """One cell per column: row r occupies the columns strictly after the
     (r-1)st prefix sum of a and weakly before the rth."""
     a = tuple(a)
+    if min(a, default=0) < 0:
+        raise ValueError(f"negative part in {a}")
     if n is not None and n < len(strip(a)):
         raise ValueError(f"ambient {n} smaller than length of {a}")
     cells = set()

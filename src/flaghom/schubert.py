@@ -9,6 +9,8 @@ from .polynomials import Poly, divided_difference
 def horizontal_strip_targets(u, k, m):
     """All w reachable from u by a saturated k-Bruhat chain of length m whose
     transpositions t_{i,j} use pairwise distinct j.  m = 0 gives {u}."""
+    if m < 0:
+        raise ValueError(f"negative strip size {m}")
     u = strip_fixed(u)
     out = set()
 
@@ -37,10 +39,7 @@ def pieri_multiply(expansion, m, k):
 def h_schubert_expansion(b):
     """Schubert coefficients of the flagged homogeneous element of b: the
     number of chains of horizontal (b_k)-strips in k-Bruhat order."""
-    expansion = {(): 1}
-    for k, part in enumerate(tuple(b), start=1):
-        expansion = pieri_multiply(expansion, part, k)
-    return expansion
+    return schubert_product_expansion(b, ())
 
 
 def schubert_product_expansion(a, b):
@@ -53,6 +52,9 @@ def schubert_product_expansion(a, b):
     return expansion
 
 
+# Divided-difference results by permutation; cleared whenever it reaches
+# the limit, so it stays bounded in a long-lived process.
+_ORACLE_CACHE_LIMIT = 4096
 _oracle_cache = {}
 
 
@@ -71,6 +73,8 @@ def _schubert_poly(w):
         i = next(i for i in range(1, m) if w[i - 1] < w[i])
         higher = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
         poly = divided_difference(_schubert_poly(higher), i)
+    if len(_oracle_cache) >= _ORACLE_CACHE_LIMIT:
+        _oracle_cache.clear()
     _oracle_cache[w] = poly
     return poly
 

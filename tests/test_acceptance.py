@@ -5,12 +5,21 @@ from flaghom.polynomials import Poly
 from flaghom.verify import VerifyReport, run_suite
 
 
+# instances of each suite at the range its criterion runs; a suite that
+# drops or repeats a check changes its count
+INSTANCES = {"basis": 574, "stable-limit": 51, "kohnert": 610, "key-atom": 541,
+             "kostka": 316, "cauchy": 5, "frsk": 1262, "snakes": 454,
+             "cancelfree": 181, "involution": 434, "schubert": 1636,
+             "regressions": 72}
+
+
 def _run(criterion, name, n=None, deg=None, max_seconds=None):
     report = run_suite(name, n=n, deg=deg)
     status = "PASS" if report.passed else "FAIL"
     print(f"criterion {criterion:>2} [{name}]: {status} "
           f"({report.instances} instances, {report.seconds:.2f}s)")
     assert report.passed, (name, report.failures[:5])
+    assert report.instances == INSTANCES[name], (name, report.instances)
     if max_seconds is not None:
         assert report.seconds < max_seconds, (name, report.seconds)
     return report
@@ -68,5 +77,9 @@ def test_failure_detail_writes_polynomials_out():
     report = VerifyReport("demo")
     report.check(True, expected=Poly.variable(1), got=Poly.zero())
     report.check(False, b=(1, 0), expected=Poly.variable(1), got=Poly.zero())
-    assert report.instances == 2
-    assert report.failures == [{"b": (1, 0), "expected": "x1", "got": "0"}]
+    report.equal(Poly.variable(1), Poly.variable(1), b=(0, 1))
+    report.equal(Poly.variable(1), Poly.zero(), b=(1, 0), kind="equal")
+    assert report.instances == 4
+    assert [list(f.items()) for f in report.failures] == [
+        [("b", (1, 0)), ("expected", "x1"), ("got", "0")],
+        [("b", (1, 0)), ("kind", "equal"), ("expected", "x1"), ("got", "0")]]

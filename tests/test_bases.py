@@ -5,7 +5,9 @@ from flaghom.bases import (demazure_atom, expand_h_into_atoms,
                            h_flagged_matrix_oracle, h_sym, key_polynomial,
                            kostka, ktilde, ktilde_upper, schur_ssyt)
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
+from flaghom.kohnert import build_Da
 from flaghom.polynomials import Poly
+from flaghom.schubert import h_schubert_expansion
 
 X1 = Poly.variable(1)
 X2 = Poly.variable(2)
@@ -129,6 +131,22 @@ def test_expand_h_into_keys():
     assert expand_h_into_keys((0, 2)).terms == {(0, 2): 1}
     assert expand_h_into_keys((1, 1)).terms == {(1, 1): 1, (2,): 1}
     assert expand_h_into_keys((0, 0, 0)).terms == {(): 1}
+
+
+@pytest.mark.parametrize("expand, b", [(expand_h_into_keys, (0, 1)),
+                                       (expand_h_into_atoms, (1, 1))])
+def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
+    # both once returned a wrong expansion on one variable
+    with pytest.raises(ValueError):
+        expand(b, 1)
+
+
+@pytest.mark.parametrize("fn", [key_polynomial, demazure_atom, h_flagged, build_Da,
+                                h_schubert_expansion])
+def test_negative_parts_are_rejected(fn):
+    # each once gave a silent wrong answer or a RecursionError
+    with pytest.raises(ValueError):
+        fn((1, -1))
 
 
 def test_expansion_json_is_sorted():

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every top-level function and class of a library module is referred to by
-name somewhere in the package or the tests, outside its own body.
+"""Source hygiene: every import of a library module sits at module level,
+every name it imports is used in it, and every top-level function and class
+of a library module is referred to by name somewhere in the package or the
+tests, outside its own body.
 
 The package ``__init__`` is exempt, since its imports are re-exports.
 """
@@ -40,6 +41,21 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source):
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body)
+
+
+def test_detects_a_nested_import():
+    assert nested_imports("import os\n\ndef f():\n    from sys import argv\n") == [4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
 
 
 def referenced_names(sources):

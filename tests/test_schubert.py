@@ -1,5 +1,6 @@
 import pytest
 
+from flaghom import schubert
 from flaghom.bases import h_flagged, schur_ssyt
 from flaghom.compositions import compositions_of
 from flaghom.permutations import grassmannian_perm
@@ -75,3 +76,14 @@ def test_negative_structure_constant_identity():
     assert got == {(0, 2): 1, (1, 1): 1, (2,): -1}
     exp = schubert_product_expansion((0, 1), (0, 1))
     assert all(c >= 0 for c in exp.values())
+
+
+def test_oracle_cache_stays_bounded(monkeypatch):
+    perms = [w for b in compositions_of(3, 3) for w in h_schubert_expansion(b)]
+    monkeypatch.setattr(schubert, "_oracle_cache", {})
+    fresh = [schubert_oracle(w, 6) for w in perms]
+    monkeypatch.setattr(schubert, "_oracle_cache", {})
+    monkeypatch.setattr(schubert, "_ORACLE_CACHE_LIMIT", 4)
+    for w, want in zip(perms, fresh):
+        assert schubert_oracle(w, 6) == want, w
+        assert len(schubert._oracle_cache) <= 4
