@@ -6,8 +6,7 @@ from .bases import (BasisExpansion, demazure_atom, expand_h_into_atoms,
                     expand_h_into_keys, h_complete, h_flagged,
                     h_flagged_matrix_oracle, h_sym, key_polynomial, kostka,
                     ktilde, ktilde_upper, schur_ssyt)
-from .compositions import (dominance_leq, key_poset_leq, relabel,
-                           sort_and_reverse)
+from .compositions import dominance_leq, key_poset_leq, relabel
 from .fillings import (FillingStats, attacking, enumerate_fillings,
                        is_member, key_diagram, statistics, weight_of)
 from .frsk import (biword_from_matrix, flagged_insert, frsk, frsk_inverse,

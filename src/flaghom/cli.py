@@ -14,8 +14,8 @@ from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
                     h_basis_family, h_flagged, key_basis_family,
                     key_polynomial)
 from .compositions import size, strip
-from .frsk import (biword_from_matrix, frsk, frsk_inverse,
-                   is_lower_triangular, matrix_from_biword, rsk, rsk_inverse)
+from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
+                   rsk, rsk_inverse)
 from .kohnert import build_Da, diagram, diagram_weight, kohnert_closure
 from .polynomials import Poly, express_in_basis, poly_to_json
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
@@ -35,10 +35,7 @@ def parse_comp(text):
 
 
 def parse_matrix(text):
-    M = tuple(parse_comp(row) for row in text.strip().split(";"))
-    if len({len(row) for row in M}) > 1:
-        raise ValueError(f"rows of {text!r} have different lengths")
-    return M
+    return tuple(parse_comp(row) for row in text.strip().split(";"))
 
 
 def parse_biword(text):
@@ -80,7 +77,7 @@ def cmd_expand(args):
     index = parse_comp(args.index)
     n = args.n if args.n is not None else max(len(strip(index)), 1)
     if n < len(strip(index)):
-        raise SystemExit2(f"--n {n} is smaller than the index length")
+        raise ValueError(f"--n {n} is smaller than the index length")
     pair = (args.source, args.target)
     if pair == ("h", "key"):
         exp = expand_h_into_keys(index, n)
@@ -109,7 +106,7 @@ def cmd_expand(args):
         family = key_basis_family([size(index)], n)
         exp = BasisExpansion("key", express_in_basis(Poly.monomial(index), family))
     else:
-        raise SystemExit2(f"unsupported basis pair {args.source} -> {args.target}")
+        raise ValueError(f"unsupported basis pair {args.source} -> {args.target}")
     emit_expansion(exp, args)
 
 
@@ -132,10 +129,8 @@ def cmd_rsk(args):
     elif args.biword:
         M = matrix_from_biword(parse_biword(args.biword), args.n)
     else:
-        raise SystemExit2("need --matrix or --biword")
+        raise ValueError("need --matrix or --biword")
     if args.flagged:
-        if not is_lower_triangular(M):
-            raise SystemExit2("flagged correspondence needs a lower triangular matrix")
         S, T = frsk(M)
         names = ("S", "T")
     else:
@@ -164,7 +159,7 @@ def cmd_kohnert(args):
     elif args.diagram:
         D = diagram(tuple(parse_comp(cell)) for cell in args.diagram.split(";"))
     else:
-        raise SystemExit2("need --shape or --diagram")
+        raise ValueError("need --shape or --diagram")
     closure = kohnert_closure(D)
     poly = Poly.from_terms((diagram_weight(T), 1) for T in closure)
     if args.json:
@@ -194,13 +189,13 @@ def cmd_snakes(args):
 
 def cmd_verify(args):
     if args.n is not None and args.n < 1:
-        raise SystemExit2(f"--n must be at least 1, got {args.n}")
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.deg is not None and args.deg < 0:
-        raise SystemExit2(f"--deg must be nonnegative, got {args.deg}")
+        raise ValueError(f"--deg must be nonnegative, got {args.deg}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
-            raise SystemExit2(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
+            raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
     failed = False
     reports = []
     for name in names:
@@ -230,13 +225,7 @@ def cmd_render(args):
             raise ValueError("matrix JSON needs a list of integer rows of equal length")
         print(render_matrix(data))
     else:
-        raise SystemExit2(f"unknown render kind {args.kind!r}")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+        raise ValueError(f"unknown render kind {args.kind!r}")
 
 
 def build_parser():
@@ -286,8 +275,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,13 +36,6 @@ def is_partition(a):
     return all(a[i] >= a[i + 1] for i in range(len(a) - 1))
 
 
-def sort_and_reverse(a):
-    """Return (sort(a), rev(a)): parts in weakly decreasing order, and the
-    reversal over the declared length of a."""
-    a = tuple(a)
-    return tuple(sorted(a, reverse=True)), tuple(reversed(a))
-
-
 def sort_comp(a):
     return tuple(sorted(a, reverse=True))
 
@@ -97,14 +90,19 @@ def key_poset_leq(a, b):
 
 
 def compositions_of(k, nparts):
-    """All weak compositions of k into exactly nparts parts, lexicographically."""
-    if nparts == 0:
-        if k == 0:
+    """All weak compositions of k into exactly nparts parts, lexicographically.
+
+    Stars and bars: the nparts - 1 bars sit at increasing positions among
+    k + nparts - 1 slots, and part t counts the stars between bars t - 1 and t.
+    """
+    if nparts == 0 or k < 0:
+        if k == nparts == 0:
             yield ()
         return
-    for first in range(k + 1):
-        for rest in compositions_of(k - first, nparts - 1):
-            yield (first,) + rest
+    end = k + nparts - 1
+    for bars in combinations(range(end), nparts - 1):
+        edges = (-1,) + bars + (end,)
+        yield tuple(edges[t + 1] - edges[t] - 1 for t in range(nparts))
 
 
 def partitions_of(k, max_part=None):

@@ -11,16 +11,17 @@ from .fillings import is_member, shape_of
 
 
 def biword_from_matrix(A):
-    """Multiset of pairs (i, j) with multiplicity A[i][j], canonically ordered."""
+    """Multiset of pairs (i, j) with multiplicity A[i][j], canonically ordered.
+    Rejects ragged rows and negative entries."""
+    if len({len(row) for row in A}) > 1:
+        raise ValueError("matrix rows have different lengths")
+    if any(v < 0 for row in A for v in row):
+        raise ValueError("matrix has a negative entry")
     pairs = []
     for i, row in enumerate(A, start=1):
         for j in range(len(row), 0, -1):
             pairs.extend([(i, j)] * row[j - 1])
     return pairs
-
-
-def canonical_biword(pairs):
-    return sorted(pairs, key=lambda p: (p[0], -p[1]))
 
 
 def matrix_from_biword(pairs, n=None):
@@ -35,7 +36,8 @@ def matrix_from_biword(pairs, n=None):
 
 
 def is_lower_triangular(A):
-    return all(A[i][j] == 0 for i in range(len(A)) for j in range(i + 1, len(A[i])))
+    """Square, with zeros strictly above the diagonal."""
+    return all(len(row) == len(A) and not any(row[i + 1:]) for i, row in enumerate(A))
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +93,6 @@ def rsk(A):
     return _fold(A, lambda P, i, j: rsk_insert_trace(P, j))
 
 
-def _rightmost_cell(rows, value):
-    """Rightmost, then topmost cell (column, row) holding the given value."""
-    best = None
-    for t, row in enumerate(rows, 1):
-        for idx in range(len(row) - 1, -1, -1):
-            if row[idx] == value:
-                if best is None or (idx + 1, t) > best:
-                    best = (idx + 1, t)
-                break
-    return best
-
-
 def _uninsert(rows, r):
     """Reverse the bumping chain that ended by appending the last cell of row
     r; returns the expelled bottom value."""
@@ -115,27 +105,24 @@ def _uninsert(rows, r):
 
 
 def rsk_inverse(P, Q, n=None):
-    """Recover the matrix from a (reverse SSYT, SSYT) pair of equal shape."""
+    """Recover the matrix from a (reverse SSYT, SSYT) pair of equal shape.
+
+    Every such pair is an RSK image, and the last cell row insertion added
+    holds Q's largest entry at the end of the longest row ending in it: pop
+    that cell, unbump P from its row, and the pairs come off the biword in
+    reverse canonical order."""
     if not is_member(P, "rSSYT") or not is_member(Q, "SSYT"):
         raise ValueError("need a reverse SSYT and an SSYT")
+    if shape_of(P) != shape_of(Q):
+        raise ValueError("tableau shapes differ")
     P = [list(r) for r in P]
     Q = [list(r) for r in Q]
-    if [len(r) for r in P] != [len(r) for r in Q]:
-        raise ValueError("tableau shapes differ")
     pairs = []
     while any(Q):
-        i = max(max(row) for row in Q if row)
-        c, r = _rightmost_cell(Q, i)
-        if c != len(Q[r - 1]):
-            raise ValueError("largest recording entry is not removable")
-        Q[r - 1].pop()
-        pairs.append((i, _uninsert(P, r)))
-        while P and not P[-1]:
-            P.pop()
-            Q.pop()
+        r = max((t for t, row in enumerate(Q, 1) if row),
+                key=lambda t: (Q[t - 1][-1], len(Q[t - 1])))
+        pairs.append((Q[r - 1].pop(), _uninsert(P, r)))
     pairs.reverse()
-    if pairs != canonical_biword(pairs):
-        raise ValueError("pair is not an RSK image")
     return matrix_from_biword(pairs, n)
 
 
@@ -221,7 +208,7 @@ def frsk(L):
     side.  Returns (S, T), an (SSKT, rSSAF) pair of equal shape.
     """
     if not is_lower_triangular(L):
-        raise ValueError("matrix is not lower triangular")
+        raise ValueError("matrix is not square and lower triangular")
     S, T = _fold(L, lambda S, i, j: flagged_insert_trace(pad_rows(S, i), j, i))
     return pad_rows(S, len(L)), pad_rows(T, len(L))
 
@@ -265,18 +252,12 @@ def _column_multisets(rows):
 
 
 def _stack_columns(cols, descending):
-    width = max(cols, default=0)
-    heights = [len(cols[c]) for c in range(1, width + 1)]
+    stacks = [sorted(cols[c], reverse=descending) for c in range(1, max(cols, default=0) + 1)]
+    heights = [len(s) for s in stacks]
     if sorted(heights, reverse=True) != heights:
         raise ValueError("column sets do not stack to a partition")
-    out = []
-    t = 1
-    while any(h >= t for h in heights):
-        row = [sorted(cols[c], reverse=descending)[t - 1]
-               for c in range(1, width + 1) if heights[c - 1] >= t]
-        out.append(tuple(row))
-        t += 1
-    return tuple(out)
+    return tuple(tuple(s[t] for s in stacks if len(s) > t)
+                 for t in range(max(heights, default=0)))
 
 
 def tau(S):
@@ -348,6 +329,8 @@ def lift_F(A):
     """Push a square natural matrix into the lower triangle twice the size:
     the biword pair (i, j) becomes (i + n, j)."""
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
     F = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):

@@ -3,6 +3,7 @@ functions, and the one-cell-per-column staircase diagram whose closure is
 counted by lower triangular matrices."""
 
 from .compositions import strip
+from .frsk import is_lower_triangular
 from .polynomials import Poly
 
 
@@ -67,14 +68,10 @@ def kohnert_polynomial(D):
     return Poly.from_terms((diagram_weight(T), 1) for T in kohnert_closure(D))
 
 
-def _windows(a):
-    """Half-open column windows (lo, hi] of the parts of a."""
-    out = []
-    total = 0
-    for part in a:
-        out.append((total, total + part))
-        total += part
-    return out
+def _window_parts(a):
+    """Part i of a owns the next a_i columns: the part of column c, for
+    c = 1, ..., |a|."""
+    return [i for i, part in enumerate(a, start=1) for _ in range(part)]
 
 
 def build_Da(a, n=None):
@@ -85,71 +82,41 @@ def build_Da(a, n=None):
         raise ValueError(f"negative part in {a}")
     if n is not None and n < len(strip(a)):
         raise ValueError(f"ambient {n} smaller than length of {a}")
-    cells = set()
-    for r, (lo, hi) in enumerate(_windows(a), start=1):
-        for c in range(lo + 1, hi + 1):
-            cells.add((c, r))
-    return frozenset(cells)
-
-
-def _window_rows(T, a):
-    """Rows of the unique cells in each window column, per part; validates
-    the one-cell-per-column and monotonicity structure of the closure."""
-    a = tuple(a)
-    cols = {}
-    for c, r in T:
-        if c in cols:
-            raise ValueError("two cells share a column")
-        cols[c] = r
-    if len(cols) != sum(a):
-        raise ValueError("cell count differs from the staircase diagram")
-    out = []
-    for i, (lo, hi) in enumerate(_windows(a), start=1):
-        rows = []
-        for c in range(lo + 1, hi + 1):
-            if c not in cols:
-                raise ValueError(f"column {c} is empty")
-            r = cols[c]
-            if r > i:
-                raise ValueError(f"cell in column {c} sits above row {i}")
-            rows.append(r)
-        if any(rows[t] < rows[t + 1] for t in range(len(rows) - 1)):
-            raise ValueError("rows increase within a window")
-        out.append(rows)
-    return out
+    return frozenset(enumerate(_window_parts(a), start=1))
 
 
 def phi(T, a):
     """The lower triangular matrix whose (i, j) entry counts cells of T in
     row j within the column window of part i.  Rejects diagrams outside the
-    closure of the staircase diagram of a."""
+    closure of the staircase diagram of a: T must be what phi_inverse builds
+    back from that matrix."""
     a = tuple(a)
     n = len(a)
-    window_rows = _window_rows(T, a)
+    part_of = _window_parts(a)
     M = [[0] * n for _ in range(n)]
-    for i, rows in enumerate(window_rows, start=1):
-        for r in rows:
-            M[i - 1][r - 1] += 1
-    return tuple(tuple(row) for row in M)
+    for c, r in T:
+        if not (1 <= c <= len(part_of) and 1 <= r <= n):
+            raise ValueError(f"cell {(c, r)} lies outside [{len(part_of)}] x [{n}]")
+        M[part_of[c - 1] - 1][r - 1] += 1
+    M = tuple(tuple(row) for row in M)
+    if phi_inverse(M, a) != frozenset(T):
+        raise ValueError("diagram is not in the closure of the staircase diagram")
+    return M
 
 
 def phi_inverse(L, a):
     """The unique closure element mapping to L: within each window, cells
     fill rows i, i-1, ..., 1 from the left with multiplicities given by the
-    ith matrix row read backwards."""
+    ith matrix row read backwards.  The windows follow one another, so the
+    rows of L, each read backwards, list the row of the cell in each column."""
     a = tuple(a)
     n = len(a)
-    if len(L) != n or any(len(row) != n for row in L):
-        raise ValueError(f"matrix must be {n} x {n}")
-    if any(L[i][j] != 0 for i in range(n) for j in range(i + 1, n)):
-        raise ValueError("matrix is not lower triangular")
+    if len(L) != n or not is_lower_triangular(L):
+        raise ValueError(f"matrix is not {n} x {n} lower triangular")
+    if any(v < 0 for row in L for v in row):
+        raise ValueError("matrix has a negative entry")
     if tuple(sum(row) for row in L) != a:
         raise ValueError("row sums differ from the indexing composition")
-    cells = set()
-    for i, (lo, hi) in enumerate(_windows(a), start=1):
-        c = lo + 1
-        for j in range(i, 0, -1):
-            for _ in range(L[i - 1][j - 1]):
-                cells.add((c, j))
-                c += 1
-    return frozenset(cells)
+    rows = [j for i in range(1, n + 1) for j in range(i, 0, -1)
+            for _ in range(L[i - 1][j - 1])]
+    return frozenset(enumerate(rows, start=1))

@@ -53,17 +53,16 @@ def covers(u, k, hi):
                     yield j, apply_transposition(u, i, j)
 
 
-def k_bruhat_covers(u, k, universe=None):
+def k_bruhat_covers(u, k):
     """All covers w = u t_{i,j} with i <= k < j and length(w) = length(u)+1.
 
-    The window for j widens automatically to one past the support of u (no
-    cover can move a later fixed point); pass universe to cap j instead.
+    The window for j reaches one past the support of u: no cover can move a
+    later fixed point.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     u = strip_fixed(u)
-    hi = max(len(u), k) + 1 if universe is None else universe
-    return {w for _, w in covers(u, k, hi)}
+    return {w for _, w in covers(u, k, max(len(u), k) + 1)}
 
 
 def grassmannian_perm(lam, k):

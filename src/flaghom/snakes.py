@@ -228,9 +228,6 @@ def validate_special_snake_tabloid(b, snakes):
         if not S or not S <= key_diagram(d) or not is_special_snake(S, d):
             return False
         d = complement_shape(S, d)
-        if d is None:
-            return False
-        d = pad(strip(d), len(b))
     return not any(d)
 
 
@@ -363,11 +360,9 @@ def iota(S, rows, b, n=None):
     S = frozenset(S)
     if not is_special_snake(S, b) or not in_gset(S, rows, b, n):
         raise ValueError("pair is outside the domain of the involution")
-    if is_member(rows, "SSKT", n):
-        raise ValueError("filling is already an SSKT")
     attacks = s_attacks(S, rows, b)
     if not attacks:
-        raise ValueError("no attack found; pair is outside the domain")
+        raise ValueError("no attack found; the filling is an SSKT or outside the domain")
     x = max((xx for xx, _ in attacks), key=lambda cell: (cell[0], cell[1]))
     y = max((yy for xx, yy in attacks if xx == x), key=lambda cell: (cell[0], -cell[1]))
     cy, ry = y

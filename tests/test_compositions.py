@@ -4,23 +4,13 @@ import pytest
 
 from flaghom.compositions import (compositions_of, dominance_key,
                                   dominance_leq, key_poset_leq, pad,
-                                  partitions_of, relabel, rev,
-                                  sort_and_reverse, strip)
+                                  partitions_of, relabel, rev, strip)
 
 
 def test_strip_and_equality():
     assert strip((1, 0, 3, 0, 0)) == (1, 0, 3)
     assert strip((0, 0)) == ()
     assert strip(()) == ()
-
-
-@pytest.mark.parametrize("a, want_sort, want_rev", [
-    ((1, 0, 3), (3, 1, 0), (3, 0, 1)),
-    ((0, 0), (0, 0), (0, 0)),
-    ((2, 5, 2), (5, 2, 2), (2, 5, 2)),
-])
-def test_sort_and_reverse(a, want_sort, want_rev):
-    assert sort_and_reverse(a) == (want_sort, want_rev)
 
 
 @pytest.mark.parametrize("a, b, want", [

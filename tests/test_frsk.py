@@ -5,11 +5,11 @@ import pytest
 from flaghom import reference as ref
 from flaghom.compositions import compositions_of, partitions_of
 from flaghom.fillings import enumerate_fillings, is_member, shape_of, weight_of
-from flaghom.frsk import (biword_from_matrix, canonical_biword,
-                          flagged_insert, flagged_insert_trace, frsk,
-                          frsk_inverse, lift_F, matrix_from_biword, pad_rows,
-                          rho, rho_inverse, rsk, rsk_insert, rsk_insert_trace,
-                          rsk_inverse, tau, tau_dagger)
+from flaghom.frsk import (biword_from_matrix, flagged_insert,
+                          flagged_insert_trace, frsk, frsk_inverse, lift_F,
+                          matrix_from_biword, pad_rows, rho, rho_inverse, rsk,
+                          rsk_insert, rsk_insert_trace, rsk_inverse, tau,
+                          tau_dagger)
 
 PAIRS = list(zip(ref.BIWORD_TOP, ref.BIWORD_BOTTOM))
 M13 = matrix_from_biword(PAIRS, 7)
@@ -39,7 +39,6 @@ def test_biword_matrix_examples():
     assert biword_from_matrix(((0, 0), (1, 0))) == [(2, 1)]
     assert biword_from_matrix(M13) == PAIRS
     assert matrix_from_biword([], 2) == ((0, 0), (0, 0))
-    assert canonical_biword([(2, 1), (1, 1), (2, 2)]) == [(1, 1), (2, 2), (2, 1)]
 
 
 def test_rsk_insert_examples():
@@ -199,6 +198,18 @@ def test_inverse_rejects_bad_pairs():
                 assert rsk(M) == (P, Q), (P, Q)
                 inverted += 1
     assert inverted == 715  # the (reverse SSYT, SSYT) pairs among them
+    # every (reverse SSYT, SSYT) pair of one shape with at most five cells
+    # and entries in [4] is inverted to a matrix that maps back to it
+    inverted = 0
+    for k in range(6):
+        for shape in partitions_of(k):
+            if len(shape) > 4:
+                continue  # no column of five distinct entries in [4]
+            for P in enumerate_fillings(shape, 4, "rSSYT"):
+                for Q in enumerate_fillings(shape, 4, "SSYT"):
+                    assert rsk(rsk_inverse(P, Q)) == (P, Q), (P, Q)
+                    inverted += 1
+    assert inverted == 20_349  # the 4 x 4 natural matrices of sum at most 5
 
 
 def test_every_small_pair_is_an_image():
@@ -225,3 +236,15 @@ def test_insertion_commutes_with_column_stack():
         S = pad_rows(S, 3)
         for j in (1, 2, 3):
             assert tau(flagged_insert(S, j, 3)) == rsk_insert(tau(S), j), (L, j)
+
+
+@pytest.mark.parametrize("call, A", [
+    (rsk, ((1, 2), (3,))),       # ragged rows
+    (rsk, ((1, -1), (0, 1))),    # negative entry
+    (frsk, ((1, 0), (-1, 1))),   # negative entry
+    (frsk, ((1, 0, 0), (1, 1, 0))),  # not square
+    (lift_F, ((1, 2), (3,))),    # not square
+])
+def test_matrix_boundary_rejects(call, A):
+    with pytest.raises(ValueError):
+        call(A)

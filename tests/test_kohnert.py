@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from flaghom import reference as ref
@@ -71,6 +73,27 @@ def test_phi_roundtrip_small():
                     assert phi_inverse(phi(T, a), a) == T
 
 
+def test_phi_accepts_exactly_the_closure():
+    # every diagram of |a| cells in the box [1, |a|] x [1, n] is mapped and
+    # inverted when it lies in the closure of D(a), and rejected otherwise
+    checked = accepted = 0
+    for n in (1, 2, 3):
+        for d in range(5):
+            box = [(c, r) for c in range(1, d + 1) for r in range(1, n + 1)]
+            for a in compositions_of(d, n):
+                closure = kohnert_closure(build_Da(a, n))
+                for cells in combinations(box, d):
+                    T = frozenset(cells)
+                    if T in closure:
+                        assert phi_inverse(phi(T, a), a) == T
+                        accepted += 1
+                    else:
+                        with pytest.raises(ValueError):
+                            phi(T, a)
+                    checked += 1
+    assert (checked, accepted) == (8823, 250)  # 250 lower triangular matrices
+
+
 def test_phi_rejects_outside_closure():
     # two cells in one column cannot appear in any closure element
     with pytest.raises(ValueError):
@@ -80,6 +103,8 @@ def test_phi_rejects_outside_closure():
         phi(frozenset({(1, 1), (2, 2)}), (0, 2))
     with pytest.raises(ValueError):
         phi_inverse(((0, 1), (1, 0)), (1, 1))
+    with pytest.raises(ValueError):
+        phi_inverse(((1, 0), (-1, 1)), (1, 0))  # a negative entry
 
 
 def test_character_identity_small():

@@ -33,7 +33,6 @@ def _covers_brute(u, k, window):
 
 def test_cover_examples():
     assert k_bruhat_covers((), 1) == {(2, 1)}
-    assert k_bruhat_covers((1,), 1, universe=1) == set()
     assert k_bruhat_covers((2, 1), 2) == {(2, 3, 1), (3, 1, 2)}
 
 

@@ -137,6 +137,27 @@ def test_tabloid_validation_rejects_bad_sequences():
         (1, 1), (frozenset({(1, 2)}), frozenset({(1, 1)})))
 
 
+def test_tabloid_validation_matches_enumeration():
+    # every enumerated tabloid validates, and toggling one cell of one snake
+    # validates exactly when the result is enumerated too
+    counts = [0, 0, 0]  # tabloids, toggles, toggles that validate
+    for n in (1, 2, 3):
+        for d in range(6):
+            for b in compositions_of(d, n):
+                tabloids = {U.snakes for U in enumerate_special_snake_tabloids(b)}
+                counts[0] += len(tabloids)
+                for snakes in tabloids:
+                    assert validate_special_snake_tabloid(b, snakes), (b, snakes)
+                    for k in range(n):
+                        for cell in key_diagram(b):
+                            toggled = snakes[:k] + (snakes[k] ^ {cell},) + snakes[k + 1:]
+                            valid = validate_special_snake_tabloid(b, toggled)
+                            assert valid == (toggled in tabloids), (b, toggled)
+                            counts[1] += 1
+                            counts[2] += valid
+    assert counts == [161, 1744, 0]
+
+
 @pytest.mark.parametrize("a, b, want", [
     ((0, 2), (0, 2), 1),
     ((1, 1), (1, 1), 1),
