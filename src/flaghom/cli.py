@@ -16,7 +16,7 @@ from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
 from .compositions import size, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
                    rsk, rsk_inverse)
-from .kohnert import build_Da, diagram, diagram_weight, kohnert_closure
+from .kohnert import build_Da, diagram, kohnert_polynomial
 from .polynomials import Poly, express_in_basis, poly_to_json
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
 from .schubert import h_schubert_expansion
@@ -160,18 +160,17 @@ def cmd_kohnert(args):
         D = diagram(tuple(parse_comp(cell)) for cell in args.diagram.split(";"))
     else:
         raise ValueError("need --shape or --diagram")
-    closure = kohnert_closure(D)
-    poly = Poly.from_terms((diagram_weight(T), 1) for T in closure)
+    poly = kohnert_polynomial(D)
     if args.json:
         out = {
             "cells": sorted(map(list, D)),
-            "closure_size": len(closure),
+            "closure_size": sum(poly.terms.values()),
             "polynomial": poly_to_json(poly),
         }
         print(json.dumps(out, sort_keys=True))
     else:
         print(render_diagram(D))
-        print(f"closure size {len(closure)}")
+        print(f"closure size {sum(poly.terms.values())}")
         print(poly)
 
 

@@ -253,11 +253,8 @@ def _column_multisets(rows):
 
 def _stack_columns(cols, descending):
     stacks = [sorted(cols[c], reverse=descending) for c in range(1, max(cols, default=0) + 1)]
-    heights = [len(s) for s in stacks]
-    if sorted(heights, reverse=True) != heights:
-        raise ValueError("column sets do not stack to a partition")
     return tuple(tuple(s[t] for s in stacks if len(s) > t)
-                 for t in range(max(heights, default=0)))
+                 for t in range(max(map(len, stacks), default=0)))
 
 
 def tau(S):

@@ -1,6 +1,11 @@
 """Kohnert moves on cell diagrams, closures and their weight generating
 functions, and the one-cell-per-column staircase diagram whose closure is
-counted by lower triangular matrices."""
+counted by lower triangular matrices.
+
+Closures search over tuples of per-column row bitmasks (bit r - 1 for row r)
+and carry each diagram's weight along its moves; ``kohnert_moves`` is the oracle."""
+
+from collections import Counter
 
 from .compositions import strip
 from .frsk import is_lower_triangular
@@ -47,25 +52,51 @@ def kohnert_moves(D):
     return out
 
 
+def _mask_moves(cols):
+    """Each move of a diagram as column masks: (the masks after it, the row
+    index left, the row index entered), rows counted from 0."""
+    seen = 0
+    for c in range(len(cols) - 1, -1, -1):
+        m = cols[c]
+        fresh = m & ~seen  # the rightmost cells of their rows
+        seen |= m
+        while fresh:
+            src = fresh.bit_length() - 1
+            fresh ^= 1 << src
+            below = ~m & ((1 << src) - 1)
+            if below:
+                dest = below.bit_length() - 1  # the highest vacant row below
+                yield cols[:c] + (m ^ (1 << src | 1 << dest),) + cols[c + 1:], src, dest
+
+
+def _closure(D):
+    """Each element of the closure of D, as column masks, mapped to its weight."""
+    D = diagram(D)
+    start = tuple(sum(1 << (r - 1) for c, r in D if c == col)
+                  for col in range(1, max((c for c, _ in D), default=0) + 1))
+    weights = {start: diagram_weight(D)}
+    queue = [start]
+    for T in queue:
+        for U, src, dest in _mask_moves(T):
+            if U not in weights:
+                w = list(weights[T])
+                w[src] -= 1
+                w[dest] += 1
+                weights[U] = tuple(w)
+                queue.append(U)
+    return weights
+
+
 def kohnert_closure(D):
-    """Least set of diagrams containing D and closed under moves (BFS)."""
-    D = frozenset(D)
-    seen = {D}
-    frontier = [D]
-    while frontier:
-        nxt = []
-        for T in frontier:
-            for U in kohnert_moves(T):
-                if U not in seen:
-                    seen.add(U)
-                    nxt.append(U)
-        frontier = nxt
-    return seen
+    """Least set of diagrams containing D and closed under moves."""
+    return {frozenset((c, r) for c, m in enumerate(T, start=1)
+                      for r in range(1, m.bit_length() + 1) if m >> (r - 1) & 1)
+            for T in _closure(D)}
 
 
 def kohnert_polynomial(D):
     """Weight generating function of the closure; the empty diagram gives 1."""
-    return Poly.from_terms((diagram_weight(T), 1) for T in kohnert_closure(D))
+    return Poly.from_terms(Counter(_closure(D).values()).items())
 
 
 def _window_parts(a):

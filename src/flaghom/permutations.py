@@ -15,6 +15,15 @@ def strip_fixed(w):
     return w[:end]
 
 
+def check_perm(w):
+    """w in canonical form, once it is checked to be a permutation of
+    1..len(w)."""
+    w = tuple(w)
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
+    return strip_fixed(w)
+
+
 def pad_perm(w, m):
     """Extend w by fixed points to a word of length at least m."""
     w = tuple(w)
@@ -61,7 +70,7 @@ def k_bruhat_covers(u, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    u = strip_fixed(u)
+    u = check_perm(u)
     return {w for _, w in covers(u, k, max(len(u), k) + 1)}
 
 
@@ -69,6 +78,8 @@ def grassmannian_perm(lam, k):
     """The unique permutation with at most one descent, at position k, whose
     first k values are i + lam_{k+1-i}; lam must have at most k parts."""
     lam = tuple(lam)
+    if min(lam, default=0) < 0:
+        raise ValueError(f"negative part in {lam}")
     if len([p for p in lam if p > 0]) > k:
         raise ValueError(f"partition {lam} has more than {k} nonzero parts")
     lam = lam + (0,) * (k - len(lam))

@@ -2,7 +2,7 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
-from .permutations import covers, strip_fixed
+from .permutations import check_perm, covers, strip_fixed
 from .polynomials import Poly, divided_difference
 
 
@@ -47,6 +47,8 @@ def schubert_product_expansion(a, b):
     elements, via the one-row grassmannian factorization of each."""
     expansion = {(): 1}
     for comp in (tuple(a), tuple(b)):
+        if not all(isinstance(part, int) for part in comp):
+            raise ValueError(f"non-integer part in {comp}")
         for k, part in enumerate(comp, start=1):
             expansion = pieri_multiply(expansion, part, k)
     return expansion
@@ -82,7 +84,7 @@ def _schubert_poly(w):
 def schubert_oracle(w, n):
     """The Schubert polynomial of w, which must fit in x_1..x_n, i.e. w can
     permute [m] only for m <= n + 1."""
-    w = strip_fixed(w)
+    w = check_perm(w)
     if len(w) > n + 1:
         raise ValueError(f"{w} needs more than {n} variables")
     return _schubert_poly(w)

@@ -1,12 +1,14 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.bases import h_flagged
 from flaghom.compositions import compositions_of
-from flaghom.kohnert import (build_Da, diagram_weight, is_southwest,
-                             kohnert_closure, kohnert_moves,
+from flaghom.kohnert import (_mask_moves, build_Da, diagram_weight,
+                             is_southwest, kohnert_closure, kohnert_moves,
                              kohnert_polynomial, phi, phi_inverse)
 from flaghom.polynomials import Poly
 
@@ -112,3 +114,73 @@ def test_character_identity_small():
         for d in range(4):
             for a in compositions_of(d, n):
                 assert kohnert_polynomial(build_Da(a, n)) == h_flagged(a, n), a
+
+
+def test_entry_points_reject_cells_off_the_grid():
+    # the closure once returned {D} and the polynomial raised IndexError
+    with pytest.raises(ValueError):
+        kohnert_closure({(0, 1)})
+    with pytest.raises(ValueError):
+        kohnert_polynomial({(1, -1)})
+
+
+def mask_moves_on_cells(D):
+    """The bitmask moves of D, decoded to cells; each move's row indices must
+    turn the weight of D into the weight of the diagram it reaches."""
+    n = max((r for _, r in D), default=0)
+    width = max((c for c, _ in D), default=0)
+    cols = [0] * width
+    for c, r in D:
+        cols[c - 1] |= 1 << (r - 1)
+    out = []
+    for U, src, dest in _mask_moves(tuple(cols)):
+        weight = list(diagram_weight(D, n))
+        weight[src] -= 1
+        weight[dest] += 1
+        assert len(U) == width
+        T = frozenset((c, r) for c, m in enumerate(U, start=1)
+                      for r in range(1, m.bit_length() + 1) if m >> (r - 1) & 1)
+        assert diagram_weight(T, n) == tuple(weight)
+        out.append(T)
+    assert len(out) == len(set(out))
+    return set(out)
+
+
+def closure_by_oracle(D):
+    seen, queue = {D}, [D]
+    for T in queue:
+        for U in kohnert_moves(T) - seen:
+            seen.add(U)
+            queue.append(U)
+    return seen
+
+
+def test_mask_moves_match_the_oracle_on_closures():
+    assert mask_moves_on_cells(ref.KOHNERT_START) == ref.KOHNERT_RESULTS
+    checked = 0
+    for n in range(1, 5):
+        for d in range(7):
+            for a in compositions_of(d, n):
+                for T in kohnert_closure(build_Da(a, n)):
+                    assert mask_moves_on_cells(T) == kohnert_moves(T), T
+                    checked += 1
+    assert checked == 9023
+
+
+# columns with gaps, rows above any window of a staircase diagram
+diagrams = st.frozensets(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=12)
+small_diagrams = st.frozensets(st.tuples(st.integers(1, 5), st.integers(1, 4)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(diagrams)
+def test_mask_moves_match_the_oracle(D):
+    assert mask_moves_on_cells(D) == kohnert_moves(D)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_diagrams)
+def test_closure_and_polynomial_match_the_oracle(D):
+    closure = closure_by_oracle(D)
+    assert kohnert_closure(D) == closure
+    assert kohnert_polynomial(D) == Poly.from_terms((diagram_weight(T), 1) for T in closure)

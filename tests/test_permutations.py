@@ -2,9 +2,9 @@ from itertools import permutations as all_perms
 
 import pytest
 
-from flaghom.permutations import (apply_transposition, grassmannian_perm,
-                                  k_bruhat_covers, length, pad_perm,
-                                  strip_fixed)
+from flaghom.permutations import (apply_transposition, check_perm,
+                                  grassmannian_perm, k_bruhat_covers, length,
+                                  pad_perm, strip_fixed)
 from flaghom.schubert import horizontal_strip_targets
 
 
@@ -97,3 +97,23 @@ def test_grassmannian_shape_and_descent():
 def test_grassmannian_rejects_long_partitions():
     with pytest.raises(ValueError):
         grassmannian_perm((2, 1, 1), 2)
+
+
+def test_grassmannian_rejects_negative_parts():
+    # once returned (0,)
+    with pytest.raises(ValueError):
+        grassmannian_perm((-1,), 1)
+
+
+def test_check_perm():
+    assert check_perm((2, 1, 3)) == (2, 1)
+    assert check_perm(()) == ()
+    for w in [(2, 2), (0, 1), (1, 3), (1.5,)]:
+        with pytest.raises(ValueError):
+            check_perm(w)
+
+
+def test_covers_reject_a_non_permutation():
+    # once returned {(2, 1, 1)}
+    with pytest.raises(ValueError):
+        k_bruhat_covers((1, 1, 2), 1)

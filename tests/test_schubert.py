@@ -44,6 +44,20 @@ def test_oracle_examples():
         schubert_oracle((1, 4, 2, 3), 1)
 
 
+def test_oracle_rejects_a_non_permutation():
+    # once raised StopIteration
+    with pytest.raises(ValueError):
+        schubert_oracle((2, 2), 3)
+
+
+def test_h_expansion_rejects_non_integer_parts():
+    # once raised RecursionError
+    with pytest.raises(ValueError):
+        h_schubert_expansion((1.5,))
+    with pytest.raises(ValueError):
+        schubert_product_expansion((1,), (0, 1.5))
+
+
 def test_oracle_gives_schur_on_grassmannians():
     for lam, k in [((1,), 1), ((2,), 2), ((1, 1), 2), ((2, 1), 2), ((2, 2), 3)]:
         v = grassmannian_perm(lam, k)
