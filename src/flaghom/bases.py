@@ -1,11 +1,14 @@
 """The flagged homogeneous basis, key polynomials, Demazure atoms, and the
 Kostka-type coefficients connecting them."""
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .compositions import (compositions_of, dominance_key, pad, rev, size,
-                           strip)
+from .compositions import (compositions_of, dominance_key, pad, partitions_of,
+                           rev, size, strip)
 from .fillings import enumerate_fillings, weight_of
+from .frsk import rho_inverse
 from .polynomials import Poly, grlex_key
 
 
@@ -43,6 +46,8 @@ def h_flagged_matrix_oracle(a):
     """Independent model: sum of x^{col(L)} over lower triangular natural
     matrices L with row sums a.  Must agree with h_flagged."""
     a = tuple(a)
+    if min(a, default=0) < 0:
+        raise ValueError(f"negative part in {a}")
     n = len(a)
 
     def rows(i, cols):
@@ -130,25 +135,60 @@ class BasisExpansion:
         }
 
 
-def _expand(b, n, basis, count):
-    """Expansion of the flagged homogeneous element indexed by b in the named
-    basis of n variables, whose coefficient on the element of a is count(a, b)."""
+def _bruhat_ideal(a):
+    """The rearrangements of a weakly below it in the Bruhat order: the
+    closure of {a} under swapping parts c_i < c_j with i < j."""
+    ideal, todo = {a}, [a]
+    while todo:
+        c = todo.pop()
+        for i, j in combinations(range(len(c)), 2):
+            if c[i] < c[j]:
+                d = c[:i] + (c[j],) + c[i + 1:j] + (c[i],) + c[j + 1:]
+                if d not in ideal:
+                    ideal.add(d)
+                    todo.append(d)
+    return ideal
+
+
+def _key_counts(b, n):
+    """ktilde(a, b) for the compositions a of length n (default: the length
+    of b), as one sweep: the column sets of an rSSAF of weight b stack to an
+    SSYT of weight b, and rho_inverse undoes that stacking (S. Mason, "An
+    explicit construction of type A Demazure atoms", J. Algebraic Combin.
+    29, 2009).  So tally the shapes of rho_inverse(Q) over the SSYT Q of
+    weight b.  Rejects negative parts and a window shorter than b."""
     b = tuple(b)
+    if min(b, default=0) < 0:
+        raise ValueError(f"negative part in {b}")
     length = len(strip(b))
     n = max(length, 1) if n is None else n
     if n < length:
         raise ValueError(f"ambient {n} smaller than length of {b}")
-    return BasisExpansion(basis, {a: count(a, b) for a in compositions_of(size(b), n)})
+    counts = Counter()
+    for lam in partitions_of(size(b)):
+        if len(lam) <= n:
+            for Q in enumerate_fillings(lam, n, "SSYT", weight=b):
+                counts[tuple(map(len, rho_inverse(Q, n)))] += 1
+    return counts
 
 
 def expand_h_into_keys(b, n=None):
-    """Key-basis expansion of the flagged homogeneous element indexed by b."""
-    return _expand(b, n, "key", ktilde)
+    """Key-basis expansion of the flagged homogeneous element indexed by b:
+    the key of a has coefficient ktilde(a, b)."""
+    return BasisExpansion("key", _key_counts(b, n))
 
 
 def expand_h_into_atoms(b, n=None):
-    """Atom-basis expansion of the flagged homogeneous element indexed by b."""
-    return _expand(b, n, "atom", ktilde_upper)
+    """Atom-basis expansion of the flagged homogeneous element indexed by b:
+    the atom of c has coefficient ktilde_upper(c, b).  A key is the sum of
+    the atoms of its Bruhat ideal, kappa_a = sum of A_c over c <= a
+    (Lascoux and Schützenberger, "Keys and standard bases", 1990), so each
+    key coefficient goes to every atom below its index."""
+    terms = Counter()
+    for a, k in _key_counts(b, n).items():
+        for c in _bruhat_ideal(a):
+            terms[c] += k
+    return BasisExpansion("atom", terms)
 
 
 def _family(degrees, n, element):

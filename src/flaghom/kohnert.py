@@ -13,9 +13,9 @@ from .polynomials import Poly
 
 
 def diagram(cells):
-    cells = frozenset((int(c), int(r)) for c, r in cells)
-    if any(c < 1 or r < 1 for c, r in cells):
-        raise ValueError("cells must have positive coordinates")
+    cells = frozenset(cells)
+    if not all(isinstance(x, int) and x >= 1 for c, r in cells for x in (c, r)):
+        raise ValueError("cells must have positive integer coordinates")
     return cells
 
 

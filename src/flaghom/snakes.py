@@ -210,6 +210,8 @@ def enumerate_special_snake_tabloids(b):
     """All special snake tabloids of shape b, depth first in the order the
     snakes are generated."""
     b = tuple(b)
+    if min(b, default=0) < 0:
+        raise ValueError(f"negative part in {b}")
     return [SnakeTabloid(b, snakes) for snakes in _tabloids(b, _snake_predicate)]
 
 

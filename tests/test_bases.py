@@ -1,9 +1,14 @@
-import pytest
+from itertools import permutations
 
-from flaghom.bases import (demazure_atom, expand_h_into_atoms,
-                           expand_h_into_keys, h_complete, h_flagged,
-                           h_flagged_matrix_oracle, h_sym, key_polynomial,
-                           kostka, ktilde, ktilde_upper, schur_ssyt)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flaghom.bases import (BasisExpansion, _bruhat_ideal, demazure_atom,
+                           expand_h_into_atoms, expand_h_into_keys, h_complete,
+                           h_flagged, h_flagged_matrix_oracle, h_sym,
+                           key_polynomial, kostka, ktilde, ktilde_upper,
+                           schur_ssyt)
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
 from flaghom.kohnert import build_Da
 from flaghom.polynomials import Poly
@@ -133,6 +138,28 @@ def test_expand_h_into_keys():
     assert expand_h_into_keys((0, 0, 0)).terms == {(): 1}
 
 
+# every weak composition of at most 8 into at most six parts
+INDICES = [b for n in range(1, 7) for d in range(9) for b in compositions_of(d, n)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(INDICES))
+def test_expansions_match_the_per_shape_counts(b):
+    comps = list(compositions_of(sum(b), len(b)))
+    keys = BasisExpansion("key", {a: ktilde(a, b) for a in comps})
+    atoms = BasisExpansion("atom", {a: ktilde_upper(a, b) for a in comps})
+    assert expand_h_into_keys(b, len(b)).terms == keys.terms
+    assert expand_h_into_atoms(b, len(b)).terms == atoms.terms
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 4), max_size=6))
+def test_bruhat_ideal_of_a_partition_and_of_its_reverse(parts):
+    lam = tuple(sorted(parts, reverse=True))
+    assert _bruhat_ideal(lam) == {lam}
+    assert _bruhat_ideal(lam[::-1]) == set(permutations(lam))
+
+
 @pytest.mark.parametrize("expand, b", [(expand_h_into_keys, (0, 1)),
                                        (expand_h_into_atoms, (1, 1))])
 def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
@@ -142,11 +169,18 @@ def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
 
 
 @pytest.mark.parametrize("fn", [key_polynomial, demazure_atom, h_flagged, build_Da,
-                                h_schubert_expansion])
+                                h_schubert_expansion, h_flagged_matrix_oracle])
 def test_negative_parts_are_rejected(fn):
     # each once gave a silent wrong answer or a RecursionError
     with pytest.raises(ValueError):
         fn((1, -1))
+
+
+@pytest.mark.parametrize("expand", [expand_h_into_keys, expand_h_into_atoms])
+def test_expansions_reject_negative_parts(expand):
+    # each once returned an empty expansion
+    with pytest.raises(ValueError):
+        expand((-1,))
 
 
 def test_expansion_json_is_sorted():

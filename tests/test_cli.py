@@ -3,7 +3,9 @@ import json
 import pytest
 
 from flaghom import reference as ref
+from flaghom.bases import BasisExpansion, ktilde_upper
 from flaghom.cli import main
+from flaghom.compositions import compositions_of
 
 
 def run(capsys, *argv):
@@ -16,6 +18,14 @@ def test_expand_h_to_key(capsys):
     code, out = run(capsys, "expand", "h", "key", "1,1", "--n", "2")
     assert code == 0
     assert out.splitlines() == ["+1  [1, 1]", "+1  [2, 0]"]
+
+
+def test_expand_h_to_atom_json_matches_the_per_shape_counts(capsys):
+    b = (0, 2, 0, 2, 2, 3)
+    code, out = run(capsys, "expand", "h", "atom", ",".join(map(str, b)), "--json")
+    assert code == 0
+    want = {a: ktilde_upper(a, b) for a in compositions_of(sum(b), len(b))}
+    assert json.loads(out) == BasisExpansion("atom", want).to_json()
 
 
 def test_expand_key_to_h(capsys):

@@ -122,6 +122,9 @@ def test_entry_points_reject_cells_off_the_grid():
         kohnert_closure({(0, 1)})
     with pytest.raises(ValueError):
         kohnert_polynomial({(1, -1)})
+    # the closure once truncated (1.5, 2.9) to the cell (1, 2)
+    with pytest.raises(ValueError):
+        kohnert_closure({(1.5, 2.9)})
 
 
 def mask_moves_on_cells(D):

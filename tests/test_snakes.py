@@ -313,6 +313,12 @@ def test_iota_involution_exhaustive_small():
                 assert sorted(s_attacks(S, rows, b)) == sorted(s_attacks(S2, rows, b))
 
 
+def test_tabloids_reject_negative_parts():
+    # once returned [] for a shape with a negative part
+    with pytest.raises(ValueError):
+        enumerate_special_snake_tabloids((2, -1))
+
+
 def test_iota_rejects_bad_inputs():
     with pytest.raises(ValueError):
         iota(frozenset({(1, 2)}), ((), (1,)), (0, 1), 2)  # first part zero
