@@ -5,8 +5,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .compositions import (compositions_of, dominance_key, pad, partitions_of,
-                           rev, size, strip)
+from .compositions import (as_comp, compositions_of, dominance_key, pad,
+                           partitions_of, rev, size, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import rho_inverse
 from .polynomials import Poly, grlex_key
@@ -45,9 +45,7 @@ def h_flagged(a, n=None):
 def h_flagged_matrix_oracle(a):
     """Independent model: sum of x^{col(L)} over lower triangular natural
     matrices L with row sums a.  Must agree with h_flagged."""
-    a = tuple(a)
-    if min(a, default=0) < 0:
-        raise ValueError(f"negative part in {a}")
+    a = as_comp(a)
     n = len(a)
 
     def rows(i, cols):
@@ -157,9 +155,7 @@ def _key_counts(b, n):
     explicit construction of type A Demazure atoms", J. Algebraic Combin.
     29, 2009).  So tally the shapes of rho_inverse(Q) over the SSYT Q of
     weight b.  Rejects negative parts and a window shorter than b."""
-    b = tuple(b)
-    if min(b, default=0) < 0:
-        raise ValueError(f"negative part in {b}")
+    b = as_comp(b)
     length = len(strip(b))
     n = max(length, 1) if n is None else n
     if n < length:
@@ -178,17 +174,21 @@ def expand_h_into_keys(b, n=None):
     return BasisExpansion("key", _key_counts(b, n))
 
 
-def expand_h_into_atoms(b, n=None):
-    """Atom-basis expansion of the flagged homogeneous element indexed by b:
-    the atom of c has coefficient ktilde_upper(c, b).  A key is the sum of
-    the atoms of its Bruhat ideal, kappa_a = sum of A_c over c <= a
-    (Lascoux and Schützenberger, "Keys and standard bases", 1990), so each
-    key coefficient goes to every atom below its index."""
+def _atom_counts(key_counts):
+    """Atom coefficients from key coefficients: kappa_a is the sum of A_c
+    over its Bruhat ideal c <= a (Lascoux and Schützenberger, "Keys and
+    standard bases", 1990), so each key coefficient goes to every c <= a."""
     terms = Counter()
-    for a, k in _key_counts(b, n).items():
+    for a, k in key_counts.items():
         for c in _bruhat_ideal(a):
             terms[c] += k
-    return BasisExpansion("atom", terms)
+    return terms
+
+
+def expand_h_into_atoms(b, n=None):
+    """Atom-basis expansion of the flagged homogeneous element indexed by b:
+    the atom of c has coefficient ktilde_upper(c, b)."""
+    return BasisExpansion("atom", _atom_counts(_key_counts(b, n)))
 
 
 def _family(degrees, n, element):

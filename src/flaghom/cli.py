@@ -13,7 +13,7 @@ import sys
 from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
                     h_basis_family, h_flagged, key_basis_family,
                     key_polynomial)
-from .compositions import size, strip
+from .compositions import as_comp, size, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
                    rsk, rsk_inverse)
 from .kohnert import build_Da, diagram, kohnert_polynomial
@@ -28,10 +28,7 @@ def parse_comp(text):
     text = text.strip()
     if not text:
         return ()
-    parts = tuple(int(x) for x in text.split(","))
-    if any(x < 0 for x in parts):
-        raise ValueError(f"negative part in {text!r}")
-    return parts
+    return as_comp(int(x) for x in text.split(","))
 
 
 def parse_matrix(text):

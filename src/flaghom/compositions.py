@@ -10,6 +10,14 @@ itself or from an explicit ``n``.
 from itertools import combinations
 
 
+def as_comp(a):
+    """a as a tuple, checked to be a weak composition: no negative part."""
+    a = tuple(a)
+    if min(a, default=0) < 0:
+        raise ValueError(f"negative part in {a}")
+    return a
+
+
 def strip(a):
     """Drop trailing zeros: the canonical representative of a composition."""
     a = tuple(a)

@@ -14,7 +14,7 @@ picture with row 1 at the bottom.
 from dataclasses import dataclass
 from itertools import product
 
-from .compositions import is_partition, pad, strip
+from .compositions import as_comp, is_partition, pad, strip
 
 FLAVORS = ("SSKT", "rSSAF", "SSYT", "rSSYT")
 
@@ -182,9 +182,7 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     upward, left to right.  Backtracks cell by cell with the attacking, row
     monotonicity, and triple conditions enforced on prefixes.
     """
-    shape = tuple(shape)
-    if min(shape, default=0) < 0:
-        raise ValueError(f"negative part in shape {shape}")
+    shape = as_comp(shape)
     if n < len(strip(shape)):
         raise ValueError(f"ambient {n} smaller than shape length")
     if flavor not in FLAVORS:
@@ -192,9 +190,8 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
     if weight is not None:
-        if min(weight, default=0) < 0:
-            raise ValueError(f"negative part in weight {tuple(weight)}")
-        weight = pad(strip(weight), n) if len(strip(weight)) <= n else None
+        weight = strip(as_comp(weight))
+        weight = pad(weight, n) if len(weight) <= n else None
         if weight is None or sum(weight) != sum(shape):
             return []
 

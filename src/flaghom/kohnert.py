@@ -7,14 +7,14 @@ and carry each diagram's weight along its moves; ``kohnert_moves`` is the oracle
 
 from collections import Counter
 
-from .compositions import strip
+from .compositions import as_comp, strip
 from .frsk import is_lower_triangular
 from .polynomials import Poly
 
 
 def diagram(cells):
-    cells = frozenset(cells)
-    if not all(isinstance(x, int) and x >= 1 for c, r in cells for x in (c, r)):
+    cells = frozenset((c, r) for c, r in cells)
+    if not all(type(x) is int and x >= 1 for cell in cells for x in cell):
         raise ValueError("cells must have positive integer coordinates")
     return cells
 
@@ -108,9 +108,7 @@ def _window_parts(a):
 def build_Da(a, n=None):
     """One cell per column: row r occupies the columns strictly after the
     (r-1)st prefix sum of a and weakly before the rth."""
-    a = tuple(a)
-    if min(a, default=0) < 0:
-        raise ValueError(f"negative part in {a}")
+    a = as_comp(a)
     if n is not None and n < len(strip(a)):
         raise ValueError(f"ambient {n} smaller than length of {a}")
     return frozenset(enumerate(_window_parts(a), start=1))

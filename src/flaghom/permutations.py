@@ -5,6 +5,8 @@ points; the identity is the empty tuple.  Length means Coxeter length,
 computed by inversion counting.
 """
 
+from .compositions import as_comp
+
 
 def strip_fixed(w):
     """Canonical form: drop trailing fixed points."""
@@ -77,9 +79,7 @@ def k_bruhat_covers(u, k):
 def grassmannian_perm(lam, k):
     """The unique permutation with at most one descent, at position k, whose
     first k values are i + lam_{k+1-i}; lam must have at most k parts."""
-    lam = tuple(lam)
-    if min(lam, default=0) < 0:
-        raise ValueError(f"negative part in {lam}")
+    lam = as_comp(lam)
     if len([p for p in lam if p > 0]) > k:
         raise ValueError(f"partition {lam} has more than {k} nonzero parts")
     lam = lam + (0,) * (k - len(lam))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bases import BasisExpansion
-from .compositions import key_poset_leq, pad, strip
+from .compositions import as_comp, key_poset_leq, pad, strip
 from .fillings import enumerate_fillings, is_member, key_diagram, shape_of
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,7 @@ def _tabloids(shape, predicate):
 def enumerate_special_snake_tabloids(b):
     """All special snake tabloids of shape b, depth first in the order the
     snakes are generated."""
-    b = tuple(b)
-    if min(b, default=0) < 0:
-        raise ValueError(f"negative part in {b}")
+    b = as_comp(b)
     return [SnakeTabloid(b, snakes) for snakes in _tabloids(b, _snake_predicate)]
 
 

@@ -105,6 +105,13 @@ def test_render_filling(capsys):
     assert out.splitlines() == [" 2 | 2", " 1 | 1"]
 
 
+def test_render_diagram(capsys):
+    # JSON cells arrive as lists; they once raised TypeError: unhashable type
+    code, out = run(capsys, "render", "diagram", '{"cells": [[1, 2], [2, 1]]}')
+    assert code == 0
+    assert out.splitlines() == [" 2 | # .", " 1 | . #"]
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")
     second = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")

@@ -125,6 +125,8 @@ def test_entry_points_reject_cells_off_the_grid():
     # the closure once truncated (1.5, 2.9) to the cell (1, 2)
     with pytest.raises(ValueError):
         kohnert_closure({(1.5, 2.9)})
+    with pytest.raises(ValueError):
+        kohnert_closure({(True, True)})
 
 
 def mask_moves_on_cells(D):
