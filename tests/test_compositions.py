@@ -2,16 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from flaghom.compositions import (as_comp, compositions_of, dominance_key,
+from flaghom.compositions import (compositions_of, dominance_key,
                                   dominance_leq, key_poset_leq, pad,
                                   partitions_of, relabel, rev, strip)
-
-
-def test_as_comp_returns_a_tuple_and_rejects_negative_parts():
-    assert as_comp([2, 0, 1]) == (2, 0, 1)
-    assert as_comp(()) == ()
-    with pytest.raises(ValueError):
-        as_comp((1, -1))
 
 
 def test_strip_and_equality():
