@@ -33,9 +33,7 @@ def h_sym(lam, m):
 
 def h_flagged(a, n=None):
     """The flagged product h_{a_1}(x_1) h_{a_2}(x_1,x_2) ... h_{a_i}(x_1..x_i)."""
-    a = tuple(a)
-    if n is not None and n < len(strip(a)):
-        raise ValueError(f"ambient {n} smaller than length of {a}")
+    a = as_comp(a, n)
     out = Poly.one()
     for i, part in enumerate(a, start=1):
         out = out * h_complete(part, i)
@@ -154,12 +152,9 @@ def _key_counts(b, n):
     SSYT of weight b, and rho_inverse undoes that stacking (S. Mason, "An
     explicit construction of type A Demazure atoms", J. Algebraic Combin.
     29, 2009).  So tally the shapes of rho_inverse(Q) over the SSYT Q of
-    weight b.  Rejects negative parts and a window shorter than b."""
-    b = as_comp(b)
-    length = len(strip(b))
-    n = max(length, 1) if n is None else n
-    if n < length:
-        raise ValueError(f"ambient {n} smaller than length of {b}")
+    weight b.  Rejects what as_comp rejects."""
+    b = as_comp(b, n)
+    n = max(len(strip(b)), 1) if n is None else n
     counts = Counter()
     for lam in partitions_of(size(b)):
         if len(lam) <= n:

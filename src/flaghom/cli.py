@@ -13,7 +13,7 @@ import sys
 from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
                     h_basis_family, h_flagged, key_basis_family,
                     key_polynomial)
-from .compositions import as_comp, size, strip
+from .compositions import as_comp, as_matrix, size, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
                    rsk, rsk_inverse)
 from .kohnert import build_Da, diagram, kohnert_polynomial
@@ -24,11 +24,9 @@ from .snakes import enumerate_special_snake_tabloids, expand_key_into_h
 from .verify import SUITES, run_suite
 
 
-def parse_comp(text):
+def parse_comp(text, n=None):
     text = text.strip()
-    if not text:
-        return ()
-    return as_comp(int(x) for x in text.split(","))
+    return as_comp((int(x) for x in text.split(",")) if text else (), n)
 
 
 def parse_matrix(text):
@@ -71,10 +69,8 @@ def emit_expansion(exp, args):
 
 
 def cmd_expand(args):
-    index = parse_comp(args.index)
+    index = parse_comp(args.index, args.n)
     n = args.n if args.n is not None else max(len(strip(index)), 1)
-    if n < len(strip(index)):
-        raise ValueError(f"--n {n} is smaller than the index length")
     pair = (args.source, args.target)
     if pair == ("h", "key"):
         exp = expand_h_into_keys(index, n)
@@ -217,15 +213,22 @@ def cmd_render(args):
             raise ValueError('diagram JSON needs a "cells" list of [column, row] pairs')
         print(render_diagram(diagram(cells), args.n))
     elif args.kind == "matrix":
-        if not is_int_rows(data) or len({len(row) for row in data}) > 1:
-            raise ValueError("matrix JSON needs a list of integer rows of equal length")
-        print(render_matrix(data))
+        if not is_int_rows(data):
+            raise ValueError("matrix JSON needs a list of integer rows")
+        print(render_matrix(as_matrix(data)))
     else:
         raise ValueError(f"unknown render kind {args.kind!r}")
 
 
+class Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them as one error line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="flaghom")
+    parser = Parser(prog="flaghom")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine readable output")
     common.add_argument("--n", type=int, default=None, help="ambient variable window")
@@ -267,9 +270,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

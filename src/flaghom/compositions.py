@@ -10,12 +10,26 @@ itself or from an explicit ``n``.
 from itertools import combinations
 
 
-def as_comp(a):
-    """a as a tuple, checked to be a weak composition: no negative part."""
+def as_comp(a, n=None):
+    """a as a tuple, checked to be a weak composition: integer parts (not
+    bools), none negative, and none nonzero past the window n if given."""
     a = tuple(a)
+    if not all(type(x) is int for x in a):
+        raise ValueError(f"non-integer part in {a}")
     if min(a, default=0) < 0:
         raise ValueError(f"negative part in {a}")
+    if n is not None and n < len(strip(a)):
+        raise ValueError(f"ambient {n} smaller than length of {a}")
     return a
+
+
+def as_matrix(A):
+    """A as a tuple of rows, checked to be a natural matrix: each row a weak
+    composition, all rows of one length."""
+    A = tuple(map(as_comp, A))
+    if len(set(map(len, A))) > 1:
+        raise ValueError("matrix rows have different lengths")
+    return A
 
 
 def strip(a):

@@ -53,18 +53,6 @@ def leg(shape, c, r):
     return shape[r - 1] - c + 1
 
 
-def arm(shape, c, r, n=None):
-    """Cells below (c, r) in its column plus cells above it in the left
-    adjacent column of the augmented diagram."""
-    n = len(shape) if n is None else n
-    below = sum(1 for rr in range(1, r) if shape[rr - 1] >= c)
-    if c == 1:
-        above_left = n - r
-    else:
-        above_left = sum(1 for rr in range(r + 1, len(shape) + 1) if shape[rr - 1] >= c - 1)
-    return below + above_left
-
-
 @dataclass(frozen=True)
 class FillingStats:
     maj: int
@@ -159,19 +147,23 @@ def _check_young(rows, reverse):
 
 
 def is_member(rows, flavor, n=None):
-    """Membership test for the four tableau families."""
+    """Membership test for the four tableau families: entries in [n], where
+    for SSKT and rSSAF n is at least the row count and for SSYT and rSSYT
+    an unbounded n (None) only requires positive entries."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
     rows = tuple(tuple(r) for r in rows)
+    if flavor in ("SSKT", "rSSAF"):
+        n = max(len(rows), n or 0)
+    if not all(type(e) is int and 1 <= e <= (e if n is None else n) for r in rows for e in r):
+        return False
     if flavor == "SSKT":
         st = statistics(rows, n)
         return st.attacking_violations == 0 and st.maj == 0 and st.coinv == 0
     if flavor == "rSSAF":
         st = statistics(rows, n)
         return st.attacking_violations == 0 and st.comaj == 0 and st.inv == 0
-    if flavor == "SSYT":
-        return _check_young(rows, reverse=False)
-    if flavor == "rSSYT":
-        return _check_young(rows, reverse=True)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return _check_young(rows, reverse=flavor == "rSSYT")
 
 
 def enumerate_fillings(shape, n, flavor, weight=None):
@@ -182,9 +174,7 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     upward, left to right.  Backtracks cell by cell with the attacking, row
     monotonicity, and triple conditions enforced on prefixes.
     """
-    shape = as_comp(shape)
-    if n < len(strip(shape)):
-        raise ValueError(f"ambient {n} smaller than shape length")
+    shape = as_comp(shape, n)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):

@@ -7,18 +7,15 @@ a list of (top, bottom) pairs kept in the canonical order: top entries
 weakly increasing, bottom entries weakly decreasing within a constant top.
 """
 
+from .compositions import as_matrix
 from .fillings import is_member, shape_of
 
 
 def biword_from_matrix(A):
     """Multiset of pairs (i, j) with multiplicity A[i][j], canonically ordered.
-    Rejects ragged rows and negative entries."""
-    if len({len(row) for row in A}) > 1:
-        raise ValueError("matrix rows have different lengths")
-    if any(v < 0 for row in A for v in row):
-        raise ValueError("matrix has a negative entry")
+    Rejects what as_matrix rejects."""
     pairs = []
-    for i, row in enumerate(A, start=1):
+    for i, row in enumerate(as_matrix(A), start=1):
         for j in range(len(row), 0, -1):
             pairs.extend([(i, j)] * row[j - 1])
     return pairs
@@ -209,7 +206,7 @@ def frsk(L):
     """
     if not is_lower_triangular(L):
         raise ValueError("matrix is not square and lower triangular")
-    S, T = _fold(L, lambda S, i, j: flagged_insert_trace(pad_rows(S, i), j, i))
+    S, T = _fold(L, lambda S, i, j: flagged_insert_trace(S, j, i))
     return pad_rows(S, len(L)), pad_rows(T, len(L))
 
 
@@ -325,6 +322,7 @@ def rho_inverse(Q, n=None):
 def lift_F(A):
     """Push a square natural matrix into the lower triangle twice the size:
     the biword pair (i, j) becomes (i + n, j)."""
+    A = as_matrix(A)
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")

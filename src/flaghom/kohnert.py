@@ -7,7 +7,7 @@ and carry each diagram's weight along its moves; ``kohnert_moves`` is the oracle
 
 from collections import Counter
 
-from .compositions import as_comp, strip
+from .compositions import as_comp, as_matrix
 from .frsk import is_lower_triangular
 from .polynomials import Poly
 
@@ -108,10 +108,7 @@ def _window_parts(a):
 def build_Da(a, n=None):
     """One cell per column: row r occupies the columns strictly after the
     (r-1)st prefix sum of a and weakly before the rth."""
-    a = as_comp(a)
-    if n is not None and n < len(strip(a)):
-        raise ValueError(f"ambient {n} smaller than length of {a}")
-    return frozenset(enumerate(_window_parts(a), start=1))
+    return frozenset(enumerate(_window_parts(as_comp(a, n)), start=1))
 
 
 def phi(T, a):
@@ -138,12 +135,10 @@ def phi_inverse(L, a):
     fill rows i, i-1, ..., 1 from the left with multiplicities given by the
     ith matrix row read backwards.  The windows follow one another, so the
     rows of L, each read backwards, list the row of the cell in each column."""
-    a = tuple(a)
+    a, L = tuple(a), as_matrix(L)
     n = len(a)
     if len(L) != n or not is_lower_triangular(L):
         raise ValueError(f"matrix is not {n} x {n} lower triangular")
-    if any(v < 0 for row in L for v in row):
-        raise ValueError("matrix has a negative entry")
     if tuple(sum(row) for row in L) != a:
         raise ValueError("row sums differ from the indexing composition")
     rows = [j for i in range(1, n + 1) for j in range(i, 0, -1)

@@ -58,9 +58,6 @@ class Poly:
     def coefficient(self, exp):
         return self.terms.get(strip(exp), 0)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def homogeneous_part(self, d):
         return Poly({e: c for e, c in self.terms.items() if sum(e) == d})
 
@@ -184,10 +181,6 @@ def poly_to_json(p, n=None):
     """JSON form: list of {"exp", "coef"} in graded lex order."""
     n = p.nvars if n is None else max(n, p.nvars)
     return [{"exp": list(e), "coef": c} for e, c in p.sorted_terms(n)]
-
-
-def poly_from_json(data):
-    return Poly.from_terms((term["exp"], term["coef"]) for term in data)
 
 
 def express_in_basis(p, basis):

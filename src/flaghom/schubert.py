@@ -2,6 +2,7 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
+from .compositions import as_comp
 from .permutations import check_perm, covers, strip_fixed
 from .polynomials import Poly, divided_difference
 
@@ -46,9 +47,7 @@ def schubert_product_expansion(a, b):
     """Schubert expansion of the product of two flagged homogeneous
     elements, via the one-row grassmannian factorization of each."""
     expansion = {(): 1}
-    for comp in (tuple(a), tuple(b)):
-        if not all(isinstance(part, int) for part in comp):
-            raise ValueError(f"non-integer part in {comp}")
+    for comp in (as_comp(a), as_comp(b)):
         for k, part in enumerate(comp, start=1):
             expansion = pieri_multiply(expansion, part, k)
     return expansion

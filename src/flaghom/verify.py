@@ -4,6 +4,7 @@ scale range and reports each failing instance."""
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import reference as ref
 from .bases import (_atom_counts, _key_counts, demazure_atom, h_basis_family,
@@ -166,6 +167,7 @@ def suite_key_atom(report, n, deg):
     """Both nonnegative expansions recombine to the flagged homogeneous
     element: key polynomials against the skyline counts, atoms against the
     reversed counts.  The one-sweep expansions match those per-shape counts."""
+    key_of, atom_of = cache(key_polynomial), cache(demazure_atom)  # shared across b
     for k, b in _all_comps(n, deg):
         want = h_flagged(b, k)
         keys = _key_counts(b, k)
@@ -174,9 +176,9 @@ def suite_key_atom(report, n, deg):
         for a, c1, c2 in counts:
             report.equal((c1, c2), (keys[a], atoms[a]), a=a, b=b)
         via_keys = Poly.from_terms((e, c1 * c) for a, c1, _ in counts if c1
-                                   for e, c in key_polynomial(a, k).terms.items())
+                                   for e, c in key_of(a, k).terms.items())
         via_atoms = Poly.from_terms((e, c2 * c) for a, _, c2 in counts if c2
-                                    for e, c in demazure_atom(a, k).terms.items())
+                                    for e, c in atom_of(a, k).terms.items())
         report.equal(want, via_keys, b=b, basis="key")
         report.equal(want, via_atoms, b=b, basis="atom")
 

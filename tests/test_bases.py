@@ -171,9 +171,11 @@ def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
 @pytest.mark.parametrize("fn", [key_polynomial, demazure_atom, h_flagged, build_Da,
                                 h_schubert_expansion, h_flagged_matrix_oracle])
 def test_negative_parts_are_rejected(fn):
-    # each once gave a silent wrong answer or a RecursionError
-    with pytest.raises(ValueError):
-        fn((1, -1))
+    # each once gave a silent wrong answer or a RecursionError on (1, -1);
+    # most raised TypeError on a float part, and a bool part passed as 1
+    for a in [(1, -1), (1.5,), (True,)]:
+        with pytest.raises(ValueError):
+            fn(a)
 
 
 @pytest.mark.parametrize("expand", [expand_h_into_keys, expand_h_into_atoms])

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.bases import BasisExpansion, ktilde_upper
@@ -144,6 +148,10 @@ def run_error(capsys, *argv):
     ("expand", "key", "atom", "1,1"),
     ("rsk", "--matrix", "0,1;0,0", "--flagged"),
     ("verify", "definitely-not-a-suite"),
+    ("render", "matrix", "[[1, -1]]"),
+    ("kohnert", "--shape", "-1,2"),  # argparse once printed its usage block
+    ("expand", "h", "key", "1", "--n", "x"),
+    ("snakes",),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)
@@ -157,3 +165,43 @@ def test_render_filling_names_missing_rows(capsys):
     code, out, err = run_error(capsys, "render", "filling", "{}")
     assert code == 2
     assert len(err) == 1 and "rows" in err[0] and err[0] != "error: 'rows'"
+
+
+# parts of a fuzzed argument: small integers, then what no part may be
+PARTS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "1.5", "a", "", "True"])
+COMP = st.builds(lambda dash, parts: dash + ",".join(parts),
+                 st.sampled_from(["", "-"]), st.lists(PARTS, max_size=3))
+ROWS = st.lists(COMP, min_size=1, max_size=3)
+JSON_KEY = {"filling": '{{"rows": {}}}', "diagram": '{{"cells": {}}}', "matrix": "{}"}
+
+
+def render_argv(kind, rows):
+    return ["render", kind, JSON_KEY[kind].format("[" + ", ".join(f"[{r}]" for r in rows) + "]")]
+
+
+ARGV = st.one_of(
+    st.builds(lambda source, target, index, n: ["expand", source, target, index, *n],
+              st.sampled_from(["h", "key", "monomial"]),
+              st.sampled_from(["key", "atom", "h", "schubert", "monomial"]), COMP,
+              st.sampled_from([(), ("--n", "0"), ("--n", "2"), ("--n", "-1"), ("--n", "a")])),
+    st.builds(lambda rows, flag: ["rsk", "--matrix", ";".join(rows), *flag],
+              ROWS, st.sampled_from([(), ("--flagged",)])),
+    st.builds(lambda option, rows: ["kohnert", option, ";".join(rows)],
+              st.sampled_from(["--shape", "--diagram"]), ROWS),
+    st.builds(lambda shape: ["snakes", "--shape", shape], COMP),
+    st.builds(render_argv, st.sampled_from(sorted(JSON_KEY)), ROWS),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+def test_fuzzed_argv_exits_0_or_with_one_error_line(argv):
+    # capsys is function scoped, which hypothesis rejects
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), argv
+    else:
+        assert (code, lines) == (0, []), argv

@@ -2,7 +2,7 @@ import pytest
 
 from flaghom import reference as ref
 from flaghom.compositions import compositions_of
-from flaghom.fillings import (arm, attacking, enumerate_fillings,
+from flaghom.fillings import (attacking, enumerate_fillings,
                               enumerate_fillings_naive, is_member,
                               key_diagram, leg, statistics, weight_of)
 
@@ -39,13 +39,10 @@ def test_statistics_ascent():
     assert st.comaj == 0
 
 
-def test_leg_and_arm():
+def test_leg():
     shape = (1, 0, 3, 6, 1, 0, 2)
     assert leg(shape, 1, 4) == 6
     assert leg(shape, 6, 4) == 1
-    # below in the column plus above in the left adjacent augmented column
-    assert arm(shape, 1, 4, 7) == 2 + 3
-    assert arm(shape, 2, 4, 7) == 1 + 2
 
 
 def test_membership_examples():
@@ -61,6 +58,12 @@ def test_membership_examples():
     assert not is_member(broken, "SSKT", 7)
     with pytest.raises(ValueError):
         is_member(((1,), (2, 2)), "SSYT")
+    # entries outside [n] once passed the statistics and the row conditions
+    assert not is_member(((-1,),), "SSKT", 1)
+    assert not is_member(((-3, 0),), "SSYT")
+    assert not is_member(((1,), (2, 5)), "rSSAF", 2)
+    assert not is_member(((1,), (3,)), "SSYT", 2)
+    assert not is_member(((True,),), "SSKT", 1)
     with pytest.raises(ValueError):
         is_member(((1,),), "no-such-flavor")
 

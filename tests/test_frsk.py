@@ -244,6 +244,9 @@ def test_insertion_commutes_with_column_stack():
     (frsk, ((1, 0), (-1, 1))),   # negative entry
     (frsk, ((1, 0, 0), (1, 1, 0))),  # not square
     (lift_F, ((1, 2), (3,))),    # not square
+    (lift_F, ((-1,),)),          # negative entry, once lifted as it was
+    (frsk, ((True,),)),          # bool entry, once read as 1
+    (rsk, ((1.5,),)),            # float entry, once a TypeError
 ])
 def test_matrix_boundary_rejects(call, A):
     with pytest.raises(ValueError):

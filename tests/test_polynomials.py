@@ -3,7 +3,7 @@ import pytest
 from flaghom.bases import h_basis_family, h_complete, key_basis_family
 from flaghom.kohnert import build_Da, diagram_weight, kohnert_closure
 from flaghom.polynomials import (Poly, divided_difference, express_in_basis,
-                                 poly_from_json, poly_to_json)
+                                 poly_to_json)
 
 X1 = Poly.variable(1)
 X2 = Poly.variable(2)
@@ -95,7 +95,7 @@ def test_express_roundtrip_and_rejection():
         express_in_basis(Poly.variable(3), h_basis_family([1], 2))
 
 
-def test_json_roundtrip_and_order():
+def test_json_order():
     p = (X1 + X2) ** 2 + X1
     data = poly_to_json(p, 2)
     assert data == [
@@ -104,7 +104,6 @@ def test_json_roundtrip_and_order():
         {"exp": [1, 1], "coef": 2},
         {"exp": [2, 0], "coef": 1},
     ]
-    assert poly_from_json(data) == p
 
 
 def test_divided_difference():
@@ -113,6 +112,6 @@ def test_divided_difference():
     # symmetric input is annihilated
     assert divided_difference(X1 * X2, 1).is_zero()
     assert divided_difference(X1 + X2, 1).is_zero()
-    # degree drops by one
+    # each homogeneous part drops one degree: 4 -> 3 and 2 -> 1
     p = Poly.monomial((3, 1)) - Poly.monomial((0, 2))
-    assert divided_difference(p, 1).total_degree() == 3
+    assert {sum(e) for e in divided_difference(p, 1).terms} == {3, 1}

@@ -259,6 +259,8 @@ def test_gset_examples():
     assert gset_enumerate(frozenset({(1, 1), (2, 1)}), (2, 0), 2) == [((1, 1), ())]
     assert in_gset(ref.ALMOST_SNAKE, ref.ALMOST_SSKT, ref.SHAPE_B, 7)
     assert not is_member(ref.ALMOST_SSKT, "SSKT", 7)
+    # a negative entry off the snake once counted as an SSKT entry
+    assert not in_gset(frozenset({(1, 1)}), ((1,), (-1,)), (1, 1), 2)
 
 
 def test_gset_generating_function():
