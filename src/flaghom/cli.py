@@ -30,6 +30,8 @@ def parse_comp(text, n=None):
 
 
 def parse_matrix(text):
+    if not text.strip():
+        raise ValueError("matrix needs at least one row")
     return tuple(parse_comp(row) for row in text.strip().split(";"))
 
 
@@ -60,47 +62,37 @@ def rows_from_json(data):
     return tuple(tuple(r) for r in rows)
 
 
-def emit_expansion(exp, args):
-    if args.json:
-        print(json.dumps(exp.to_json(), sort_keys=True))
-    else:
-        for index, coef in exp.sorted_terms():
-            print(f"{coef:+d}  {list(index)}")
+EXPANSIONS = {
+    ("h", "key"): expand_h_into_keys,
+    ("h", "atom"): expand_h_into_atoms,
+    ("key", "h"): expand_key_into_h,
+    ("h", "monomial"): lambda a, n: BasisExpansion("monomial", h_flagged(a, n).terms),
+    ("key", "monomial"): lambda a, n: BasisExpansion("monomial", key_polynomial(a, n).terms),
+    ("monomial", "h"): lambda a, n: BasisExpansion(
+        "h-flagged", express_in_basis(Poly.monomial(a), h_basis_family([size(a)], n))),
+    ("monomial", "key"): lambda a, n: BasisExpansion(
+        "key", express_in_basis(Poly.monomial(a), key_basis_family([size(a)], n))),
+}
 
 
 def cmd_expand(args):
     index = parse_comp(args.index, args.n)
     n = args.n if args.n is not None else max(len(strip(index)), 1)
     pair = (args.source, args.target)
-    if pair == ("h", "key"):
-        exp = expand_h_into_keys(index, n)
-    elif pair == ("h", "atom"):
-        exp = expand_h_into_atoms(index, n)
-    elif pair == ("key", "h"):
-        exp = expand_key_into_h(index, n)
-    elif pair == ("h", "schubert"):
-        exp = h_schubert_expansion(index)
-        if args.json:
-            terms = [{"perm": list(w), "coef": c} for w, c in sorted(exp.items())]
-            print(json.dumps({"basis": "schubert", "terms": terms}, sort_keys=True))
-        else:
-            for w, c in sorted(exp.items()):
-                print(f"{c:+d}  {list(w)}")
-        return
-    elif pair == ("h", "monomial"):
-        poly = h_flagged(index, n)
-        exp = BasisExpansion("monomial", dict(poly.terms))
-    elif pair == ("key", "monomial"):
-        exp = BasisExpansion("monomial", dict(key_polynomial(index, n).terms))
-    elif pair == ("monomial", "h"):
-        family = h_basis_family([size(index)], n)
-        exp = BasisExpansion("h-flagged", express_in_basis(Poly.monomial(index), family))
-    elif pair == ("monomial", "key"):
-        family = key_basis_family([size(index)], n)
-        exp = BasisExpansion("key", express_in_basis(Poly.monomial(index), family))
+    if pair == ("h", "schubert"):
+        # Schubert terms are indexed by permutations, not compositions
+        terms = sorted(h_schubert_expansion(index).items())
+        out = {"basis": "schubert", "terms": [{"perm": list(w), "coef": c} for w, c in terms]}
+    elif pair in EXPANSIONS:
+        exp = EXPANSIONS[pair](index, n)
+        terms, out = exp.sorted_terms(), exp.to_json()
     else:
         raise ValueError(f"unsupported basis pair {args.source} -> {args.target}")
-    emit_expansion(exp, args)
+    if args.json:
+        print(json.dumps(out, sort_keys=True))
+    else:
+        for index, coef in terms:
+            print(f"{coef:+d}  {list(index)}")
 
 
 def cmd_rsk(args):
@@ -117,12 +109,10 @@ def cmd_rsk(args):
         else:
             print(render_matrix(M))
         return
-    if args.matrix:
-        M = parse_matrix(args.matrix)
-    elif args.biword:
+    if args.biword is not None:
         M = matrix_from_biword(parse_biword(args.biword), args.n)
     else:
-        raise ValueError("need --matrix or --biword")
+        M = parse_matrix(args.matrix)
     if args.flagged:
         S, T = frsk(M)
         names = ("S", "T")
@@ -149,10 +139,8 @@ def cmd_kohnert(args):
         a = parse_comp(args.shape)
         n = args.n if args.n is not None else max(len(strip(a)), 1)
         D = build_Da(a, n)
-    elif args.diagram:
-        D = diagram(tuple(parse_comp(cell)) for cell in args.diagram.split(";"))
     else:
-        raise ValueError("need --shape or --diagram")
+        D = diagram(parse_comp(cell) for cell in args.diagram.split(";"))
     poly = kohnert_polynomial(D)
     if args.json:
         out = {
@@ -185,9 +173,6 @@ def cmd_verify(args):
     if args.deg is not None and args.deg < 0:
         raise ValueError(f"--deg must be nonnegative, got {args.deg}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
     failed = False
     reports = []
     for name in names:
@@ -212,12 +197,10 @@ def cmd_render(args):
         if not is_int_rows(cells) or any(len(cell) != 2 for cell in cells):
             raise ValueError('diagram JSON needs a "cells" list of [column, row] pairs')
         print(render_diagram(diagram(cells), args.n))
-    elif args.kind == "matrix":
+    else:
         if not is_int_rows(data):
             raise ValueError("matrix JSON needs a list of integer rows")
         print(render_matrix(as_matrix(data)))
-    else:
-        raise ValueError(f"unknown render kind {args.kind!r}")
 
 
 class Parser(argparse.ArgumentParser):
@@ -227,45 +210,52 @@ class Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine readable output"},
+    "--n": {"type": int, "help": "ambient variable window"},
+    "--deg": {"type": int, "help": "degree bound"},
+}
+
+
 def build_parser():
     parser = Parser(prog="flaghom")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine readable output")
-    common.add_argument("--n", type=int, default=None, help="ambient variable window")
-    common.add_argument("--deg", type=int, default=None, help="degree bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="basis expansions")
+    def command(name, func, help, *options):
+        """A subcommand taking exactly the OPTIONS its func reads."""
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("expand", cmd_expand, "basis expansions", "--json", "--n")
     p.add_argument("source", choices=["h", "key", "monomial"])
     p.add_argument("target", choices=["key", "atom", "h", "schubert", "monomial"])
     p.add_argument("index", help="comma-separated composition")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("rsk", parents=[common], help="insertion correspondences")
-    p.add_argument("--matrix", help="semicolon-separated rows")
-    p.add_argument("--biword", help="two comma-separated lines joined by ';'")
+    p = command("rsk", cmd_rsk, "insertion correspondences", "--json", "--n")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--matrix", help="semicolon-separated rows")
+    given.add_argument("--biword", help="two comma-separated lines joined by ';'")
+    given.add_argument("--inverse", action="store_true")
     p.add_argument("--flagged", action="store_true")
-    p.add_argument("--inverse", action="store_true")
     p.add_argument("--pair", help="JSON pair for --inverse (default: stdin)")
-    p.set_defaults(func=cmd_rsk)
 
-    p = sub.add_parser("kohnert", parents=[common], help="diagram closures")
-    p.add_argument("--shape", help="build the one-cell-per-column diagram")
-    p.add_argument("--diagram", help="explicit cells c,r;c,r;...")
-    p.set_defaults(func=cmd_kohnert)
+    p = command("kohnert", cmd_kohnert, "diagram closures", "--json", "--n")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--shape", help="build the one-cell-per-column diagram")
+    given.add_argument("--diagram", help="explicit cells c,r;c,r;...")
 
-    p = sub.add_parser("snakes", parents=[common], help="special snake tabloids")
+    p = command("snakes", cmd_snakes, "special snake tabloids", "--json")
     p.add_argument("--shape", required=True)
-    p.set_defaults(func=cmd_snakes)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("suite")
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "run a verification suite", "--json", "--n", "--deg")
+    p.add_argument("suite", choices=[*SUITES, "all"])
 
-    p = sub.add_parser("render", parents=[common], help="render JSON values")
+    p = command("render", cmd_render, "render JSON values", "--n")
     p.add_argument("kind", choices=["filling", "diagram", "matrix"])
     p.add_argument("data", nargs="?", help="JSON (default: stdin)")
-    p.set_defaults(func=cmd_render)
     return parser
 
 

@@ -39,12 +39,18 @@ def shape_of(rows):
 
 
 def weight_of(rows, n=None):
-    """Entry multiplicities as a composition of length n."""
+    """Entry multiplicities as a composition of length n (default: the
+    largest entry); an entry outside [1, n] raises ValueError."""
     n = max((max(r) for r in rows if r), default=0) if n is None else n
     counts = [0] * n
-    for row in rows:
-        for e in row:
-            counts[e - 1] += 1
+    try:  # one comparison per entry: an entry above n overruns counts
+        for row in rows:
+            for e in row:
+                if e < 1:
+                    raise IndexError
+                counts[e - 1] += 1
+    except IndexError:
+        raise ValueError(f"entry {e} outside [1, {n}]") from None
     return tuple(counts)
 
 

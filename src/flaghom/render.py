@@ -32,7 +32,7 @@ def render_filling(rows, n=None):
 
 def render_diagram(D, n=None):
     D = frozenset(D)
-    n = max((r for _, r in D), default=1) if n is None else n
+    n = max(max((r for _, r in D), default=1), n or 0)
     width = max((c for c, _ in D), default=0)
     return "\n".join(_grid_lines(n, width, lambda c, r: "#" if (c, r) in D else None))
 

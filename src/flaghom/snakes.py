@@ -238,10 +238,9 @@ def inverse_ktilde(a, b):
 
 def expand_key_into_h(b, n=None):
     """Signed expansion of the key polynomial of b in the flagged
-    homogeneous basis, read off the snake tabloids of shape b.  The window
-    n is accepted for interface symmetry but the coefficients are
-    window-independent."""
-    b = tuple(b)
+    homogeneous basis, read off the snake tabloids of shape b.  Rejects what
+    as_comp(b, n) rejects."""
+    b = as_comp(b, n)
     terms = {}
     for U in enumerate_special_snake_tabloids(b):
         w = strip(U.weight())

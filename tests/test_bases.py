@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -11,8 +12,9 @@ from flaghom.bases import (BasisExpansion, _bruhat_ideal, demazure_atom,
                            schur_ssyt)
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
 from flaghom.kohnert import build_Da
-from flaghom.polynomials import Poly
+from flaghom.polynomials import Poly, divided_difference
 from flaghom.schubert import h_schubert_expansion
+from flaghom.snakes import expand_key_into_h
 
 X1 = Poly.variable(1)
 X2 = Poly.variable(2)
@@ -161,9 +163,10 @@ def test_bruhat_ideal_of_a_partition_and_of_its_reverse(parts):
 
 
 @pytest.mark.parametrize("expand, b", [(expand_h_into_keys, (0, 1)),
-                                       (expand_h_into_atoms, (1, 1))])
+                                       (expand_h_into_atoms, (1, 1)),
+                                       (expand_key_into_h, (1, 1))])
 def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
-    # both once returned a wrong expansion on one variable
+    # each once returned a wrong expansion on one variable
     with pytest.raises(ValueError):
         expand(b, 1)
 
@@ -199,23 +202,30 @@ def test_h_complete_edge_cases():
     assert h_complete(1, 3) == Poly.variable(1) + Poly.variable(2) + Poly.variable(3)
 
 
-def _key_by_isobaric_operators(a):
-    """Independent key-polynomial oracle: start from the monomial of the
-    sorted composition and apply pi_i = d_i x_i along exchanges."""
-    from flaghom.polynomials import divided_difference
+@cache
+def _demazure_by_operators(a, atom):
+    """Filling-free oracle for the key polynomial (atom=False) or Demazure
+    atom (atom=True) of a: x^a when a is weakly decreasing, else
+    pi_i applied to the index with a_i < a_{i+1} exchanged, where
+    pi_i f = d_i(x_i f); atoms use pi_i - 1 (Demazure 1974; Lascoux and
+    Schützenberger, "Keys and standard bases", 1990)."""
+    i = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
+    if i is None:
+        return Poly.monomial(a)
+    higher = _demazure_by_operators(a[:i] + (a[i + 1], a[i]) + a[i + 2:], atom)
+    pi = divided_difference(Poly.variable(i + 1) * higher, i + 1)
+    return pi - higher if atom else pi
 
-    a = list(a)
-    if all(a[i] >= a[i + 1] for i in range(len(a) - 1)):
-        return Poly.monomial(tuple(a))
-    i = next(i for i in range(len(a) - 1) if a[i] < a[i + 1])
-    swapped = a[:]
-    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    higher = _key_by_isobaric_operators(swapped)
-    return divided_difference(Poly.variable(i + 1) * higher, i + 1)
+
+SMALL_COMPOSITIONS = [a for n in range(1, 5) for d in range(7) for a in compositions_of(d, n)]
 
 
 def test_key_polynomial_matches_operator_recursion():
-    for n in (1, 2, 3):
-        for d in range(5):
-            for a in compositions_of(d, n):
-                assert key_polynomial(a, n) == _key_by_isobaric_operators(a), a
+    assert len(SMALL_COMPOSITIONS) == 329
+    for a in SMALL_COMPOSITIONS:
+        assert key_polynomial(a, len(a)) == _demazure_by_operators(a, False), a
+
+
+def test_demazure_atom_matches_operator_recursion():
+    for a in SMALL_COMPOSITIONS:
+        assert demazure_atom(a, len(a)) == _demazure_by_operators(a, True), a

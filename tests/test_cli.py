@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.bases import BasisExpansion, ktilde_upper
-from flaghom.cli import main
+from flaghom.cli import build_parser, main
 from flaghom.compositions import compositions_of
 
 
@@ -116,10 +118,27 @@ def test_render_diagram(capsys):
     assert out.splitlines() == [" 2 | # .", " 1 | . #"]
 
 
+def test_render_diagram_draws_cells_above_n(capsys):
+    # the cell in row 5 was once dropped from a two-row grid
+    code, out = run(capsys, "render", "diagram", '{"cells": [[1, 5]]}', "--n", "2")
+    assert code == 0
+    assert out.splitlines() == [" 5 | #", " 4 | .", " 3 | .", " 2 | .", " 1 | ."]
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")
     second = run(capsys, "expand", "h", "key", "2,1", "--n", "3", "--json")
     assert first == second
+
+
+def test_every_option_is_read_by_its_command():
+    # an option the command never reads is accepted and silently ignored
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
 
 
 def run_error(capsys, *argv):
@@ -152,6 +171,16 @@ def run_error(capsys, *argv):
     ("kohnert", "--shape", "-1,2"),  # argparse once printed its usage block
     ("expand", "h", "key", "1", "--n", "x"),
     ("snakes",),
+    ("snakes", "--shape", "1,1", "--n", "1"),  # each option below was once accepted unread
+    ("snakes", "--shape", "1,1", "--deg", "9"),
+    ("expand", "h", "key", "1,1", "--deg", "7"),
+    ("kohnert", "--shape", "0,2", "--deg", "2"),
+    ("rsk", "--matrix", "0,0;1,0", "--deg", "1"),
+    ("render", "filling", '{"rows": [[1], [2]]}', "--json"),
+    ("kohnert", "--shape", "0,2", "--diagram", "1,1"),  # both once ran, one unread
+    ("rsk", "--matrix", "0,0;1,0", "--biword", "1,2;1,1"),
+    ("rsk", "--matrix", ""),
+    ("kohnert", "--diagram", ""),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)

@@ -102,6 +102,13 @@ def test_enumerate_weight_filter():
     assert enumerate_fillings((2, 1), 3, "SSKT", weight=(1, 1)) == []
 
 
+@pytest.mark.parametrize("rows", [((0,),), ((3,),)])
+def test_weight_of_rejects_entries_outside_the_window(rows):
+    # ((0,),) was once counted at index -1 as (0, 1); ((3,),) raised IndexError
+    with pytest.raises(ValueError, match=f"entry {rows[0][0]} outside"):
+        weight_of(rows, 2)
+
+
 def test_row_monotonicity_characterizes_descent_stats():
     # maj = 0 iff rows weakly decrease, comaj = 0 iff they weakly increase,
     # in both cases against the basement on the left
