@@ -96,6 +96,10 @@ def cmd_expand(args):
 
 
 def cmd_rsk(args):
+    if args.pair is not None and not args.inverse:
+        raise ValueError("--pair is read only with --inverse")
+    if args.n is not None and (args.matrix is not None or args.flagged and args.inverse):
+        raise ValueError("--n is read only with --biword or an unflagged --inverse")
     if args.inverse:
         data = json.loads(args.pair if args.pair else sys.stdin.read())
         if not (isinstance(data, dict) and {"P", "S"} & data.keys()
@@ -159,7 +163,13 @@ def cmd_snakes(args):
     b = parse_comp(args.shape)
     tabloids = enumerate_special_snake_tabloids(b)
     if args.json:
-        print(json.dumps([t.to_json() for t in tabloids], sort_keys=True))
+        # json.dumps of the list, written one tabloid at a time
+        encode = json.JSONEncoder(sort_keys=True).encode
+        memo = {}
+        sys.stdout.write("[")
+        for k, t in enumerate(tabloids):
+            sys.stdout.write((", " if k else "") + encode(t.to_json(memo)))
+        sys.stdout.write("]\n")
     else:
         for t in tabloids:
             print(render_tabloid(t))
@@ -194,9 +204,11 @@ def cmd_render(args):
         print(render_filling(rows_from_json(data), args.n))
     elif args.kind == "diagram":
         cells = data.get("cells") if isinstance(data, dict) else None
-        if not is_int_rows(cells) or any(len(cell) != 2 for cell in cells):
+        if not is_int_rows(cells):
             raise ValueError('diagram JSON needs a "cells" list of [column, row] pairs')
         print(render_diagram(diagram(cells), args.n))
+    elif args.n is not None:
+        raise ValueError("render matrix does not read --n")
     else:
         if not is_int_rows(data):
             raise ValueError("matrix JSON needs a list of integer rows")

@@ -13,9 +13,11 @@ from .polynomials import Poly
 
 
 def diagram(cells):
-    cells = frozenset((c, r) for c, r in cells)
-    if not all(type(x) is int and x >= 1 for cell in cells for x in cell):
-        raise ValueError("cells must have positive integer coordinates")
+    """The cells as a frozenset of (column, row) pairs of positive integers."""
+    cells = frozenset(map(tuple, cells))
+    for cell in cells:
+        if len(cell) != 2 or not all(type(x) is int and x >= 1 for x in cell):
+            raise ValueError(f"cell {list(cell)} is not a (column, row) pair of positive integers")
     return cells
 
 

@@ -153,9 +153,52 @@ def _snake_predicate(e, d):
     return len(group) == len(rows)
 
 
+_PIECE_CACHE_LIMIT = 4096
+_piece_cache = {}
+
+
+def _snake_pieces(d):
+    """_special_pieces(d, _snake_predicate) as a tuple, generated instead of
+    filtered, and kept in a bounded cache.  e grows one row at a time, and
+    row s takes only values that pass the pairwise tests of _snake_predicate
+    against every row r above it, which bound e_s from below: no descent
+    e_r > e_s unless d_r > d_s, and no triple, max(e_s + 2, e_r + 1) <=
+    min(d_s, d_r).  _snake_predicate stays the final test."""
+    d = tuple(d)
+    if d in _piece_cache:
+        return _piece_cache[d]
+    anchor = lowest_column_one_cell(d)
+    pieces = []
+    if anchor is not None:
+        host, e, top = key_diagram(d), [0] * len(d), [part + 1 for part in d]
+        top[anchor[1] - 1] = 1  # the anchor cell stays in the piece
+
+        def grow(s):
+            if s == len(d):
+                f = tuple(e)
+                if _snake_predicate(f, d):
+                    pieces.append((host - key_diagram(f), f))
+                return
+            lo = 0
+            for r in range(s):
+                if d[r] <= d[s]:
+                    lo = max(lo, e[r])
+                if e[r] < min(d[r], d[s]):
+                    lo = max(lo, min(d[r], d[s]) - 1)
+            for v in range(lo, top[s]):
+                e[s] = v
+                grow(s + 1)
+
+        grow(0)
+    if len(_piece_cache) >= _PIECE_CACHE_LIMIT:
+        _piece_cache.clear()
+    _piece_cache[d] = pieces = tuple(pieces)
+    return pieces
+
+
 def special_snakes(b):
     """All (snake, residual shape) pairs for the special snakes of D(b)."""
-    return list(_special_pieces(b, _snake_predicate))
+    return list(_snake_pieces(b))
 
 
 @dataclass(frozen=True)
@@ -176,17 +219,28 @@ class SnakeTabloid:
             out *= snake_sign(S)
         return out
 
-    def to_json(self):
+    def to_json(self, memo=None):
+        """The tabloid as a JSON value.  memo, a dict from snake to its sorted
+        cells and sign, lets a caller that dumps many tabloids one by one work
+        out each distinct snake once; values built with one memo share its
+        cell lists."""
+        memo = {} if memo is None else memo
+        sign = 1
+        for S in self.snakes:
+            if S not in memo:
+                memo[S] = sorted(map(list, S)), snake_sign(S)
+            sign *= memo[S][1]
         return {
             "shape": list(self.shape),
-            "snakes": [sorted(map(list, S)) for S in self.snakes],
+            "snakes": [memo[S][0] for S in self.snakes],
             "weight": list(self.weight()),
-            "sign": self.sign(),
+            "sign": sign,
         }
 
 
-def _tabloids(shape, predicate):
-    """Snake sequences of every tabloid of the shape, depth first; the
+def _tabloids(shape, pieces):
+    """Snake sequences of every tabloid of the shape, depth first, taking
+    from each residual shape d the (piece, e) pairs of pieces(d); the
     sequences completing a residual shape from row i on are built once."""
     n = len(shape)
     memo = {}
@@ -199,7 +253,7 @@ def _tabloids(shape, predicate):
                 memo[d, i] = tuple((frozenset(),) + rest for rest in go(d, i + 1))
             else:
                 memo[d, i] = tuple((S,) + rest
-                                   for S, e in _special_pieces(d, predicate)
+                                   for S, e in pieces(d)
                                    for rest in go(e, i + 1))
         return memo[d, i]
 
@@ -210,7 +264,7 @@ def enumerate_special_snake_tabloids(b):
     """All special snake tabloids of shape b, depth first in the order the
     snakes are generated."""
     b = as_comp(b)
-    return [SnakeTabloid(b, snakes) for snakes in _tabloids(b, _snake_predicate)]
+    return [SnakeTabloid(b, snakes) for snakes in _tabloids(b, _snake_pieces)]
 
 
 def validate_special_snake_tabloid(b, snakes):
@@ -282,7 +336,8 @@ def enumerate_special_rim_hook_tabloids(mu):
     """Tabloids of shape rev(mu) whose pieces are special rim hooks; same
     recursion as the snake tabloids with the rim hook conditions instead."""
     shape = tuple(reversed(tuple(mu)))
-    return [SnakeTabloid(shape, snakes) for snakes in _tabloids(shape, _rim_hook_predicate)]
+    return [SnakeTabloid(shape, snakes) for snakes in _tabloids(
+        shape, lambda d: _special_pieces(d, _rim_hook_predicate))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.bases import BasisExpansion, ktilde_upper
-from flaghom.cli import build_parser, main
+from flaghom.cli import build_parser, main, parse_comp
 from flaghom.compositions import compositions_of
+from flaghom.render import render_tabloid
+from flaghom.snakes import enumerate_special_snake_tabloids
 
 
 def run(capsys, *argv):
@@ -98,6 +100,24 @@ def test_snakes_command(capsys):
         ((1, 1), 1), ((2, 0), -1)]
 
 
+@pytest.mark.parametrize("shape", ["0", "1", "1,1", "2,0,3,1", "3,1,2"])
+def test_snakes_json_is_one_dump_of_the_list(capsys, shape):
+    tabloids = enumerate_special_snake_tabloids(parse_comp(shape))
+    code, out = run(capsys, "snakes", "--shape", shape, "--json")
+    assert code == 0
+    assert out == json.dumps([t.to_json() for t in tabloids], sort_keys=True) + "\n"
+
+
+def test_snakes_text(capsys):
+    code, out = run(capsys, "snakes", "--shape", "1,1")
+    assert (code, out) == (0, " 2 | 1\n 1 | 1\nweight [2, 0]  sign -1\n\n"
+                              " 2 | 2\n 1 | 1\nweight [1, 1]  sign +1\n\n2 tabloids\n")
+    tabloids = enumerate_special_snake_tabloids((3, 1, 2))
+    code, out = run(capsys, "snakes", "--shape", "3,1,2")
+    blocks = "".join(f"{render_tabloid(t)}\n\n" for t in tabloids)
+    assert out == f"{blocks}{len(tabloids)} tabloids\n"
+
+
 def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "cauchy", "--n", "3", "--deg", "4")
     assert code == 0
@@ -181,6 +201,11 @@ def run_error(capsys, *argv):
     ("rsk", "--matrix", "0,0;1,0", "--biword", "1,2;1,1"),
     ("rsk", "--matrix", ""),
     ("kohnert", "--diagram", ""),
+    ("rsk", "--matrix", "0,0;1,0", "--pair", "{}"),  # each option below is read in one mode only
+    ("rsk", "--matrix", "0,0;1,0", "--n", "9"),
+    ("rsk", "--inverse", "--flagged", "--n", "2", "--pair",
+     '{"S": {"rows": [[1]]}, "T": {"rows": [[1]]}}'),
+    ("render", "matrix", "[[1]]", "--n", "3"),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)
@@ -194,6 +219,14 @@ def test_render_filling_names_missing_rows(capsys):
     code, out, err = run_error(capsys, "render", "filling", "{}")
     assert code == 2
     assert len(err) == 1 and "rows" in err[0] and err[0] != "error: 'rows'"
+
+
+@pytest.mark.parametrize("cells, named", [("1", "[1]"), ("1,2,3", "[1, 2, 3]"),
+                                          ("1,1;0,2", "[0, 2]")])
+def test_kohnert_diagram_names_the_bad_cell(capsys, cells, named):
+    code, out, err = run_error(capsys, "kohnert", "--diagram", cells)
+    assert (code, out) == (2, "")
+    assert err == [f"error: cell {named} is not a (column, row) pair of positive integers"]
 
 
 # parts of a fuzzed argument: small integers, then what no part may be

@@ -1,19 +1,26 @@
+from itertools import product
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flaghom import reference as ref
+from flaghom import snakes
 from flaghom.bases import h_flagged, key_polynomial, kostka, ktilde
 from flaghom.compositions import (compositions_of, dominance_key,
                                   key_poset_leq, pad, partitions_of, relabel,
                                   sort_comp, strip)
 from flaghom.fillings import is_member, key_diagram, weight_of
 from flaghom.polynomials import Poly
-from flaghom.snakes import (SnakeTabloid, complement_shape,
+from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
+                            _special_pieces, complement_shape,
                             connected_components,
                             enumerate_special_rim_hook_tabloids,
                             enumerate_special_snake_tabloids, gset_enumerate,
                             in_gset, inverse_ktilde, iota, is_rim_hook,
                             is_snake, is_special_snake, s_attacks,
-                            special_snakes, validate_special_snake_tabloid,
+                            snake_sign, special_snakes,
+                            validate_special_snake_tabloid,
                             weakly_connected_components)
 
 
@@ -103,6 +110,36 @@ def test_special_snake_enumeration_matches_subset_filter():
                 brute.add(S)
         fast = {S for S, _ in special_snakes(b)}
         assert fast == brute, b
+
+
+def test_generated_pieces_match_the_filtered_product_exhaustive_small():
+    shapes = [d for rows in range(6) for d in product(range(4), repeat=rows)]
+    for d in shapes:
+        assert _snake_pieces(d) == tuple(_special_pieces(d, _snake_predicate)), d
+    assert len(shapes) == 1365
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 5), max_size=7).map(tuple))
+def test_generated_pieces_match_the_filtered_product(d):
+    assert _snake_pieces(d) == tuple(_special_pieces(d, _snake_predicate))
+
+
+def test_piece_cache_stays_bounded(monkeypatch):
+    shapes = [(2, 1, 3), (3, 0, 2, 2), (1, 2, 1, 2), (2, 2, 2)]
+    fresh = [enumerate_special_snake_tabloids(b) for b in shapes]
+    monkeypatch.setattr(snakes, "_piece_cache", {})
+    monkeypatch.setattr(snakes, "_PIECE_CACHE_LIMIT", 4)
+    for b, want in zip(shapes, fresh):
+        assert enumerate_special_snake_tabloids(b) == want, b
+        assert 0 < len(snakes._piece_cache) <= 4
+
+
+def test_to_json_memo_gives_the_same_values():
+    memo = {}
+    for t in enumerate_special_snake_tabloids((2, 0, 3, 1)):
+        assert t.to_json(memo) == t.to_json()
+    assert memo
 
 
 def test_tabloids_of_two_cells():
@@ -313,6 +350,26 @@ def test_iota_involution_exhaustive_small():
                     (-1) ** (len({r for _, r in S}) - 1))
                 assert iota(S2, rows, b, n)[0] == S
                 assert sorted(s_attacks(S, rows, b)) == sorted(s_attacks(S2, rows, b))
+
+
+# shapes up to five rows with parts at most 3, the first part positive
+IOTA_SHAPES = st.builds(lambda first, rest: (first, *rest),
+                        st.integers(1, 3), st.lists(st.integers(0, 3), max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_iota_is_a_sign_reversing_involution(data):
+    b = data.draw(IOTA_SHAPES)
+    n = len(b)
+    S, _ = data.draw(st.sampled_from(special_snakes(b)))
+    outside = [rows for rows in gset_enumerate(S, b, n) if not is_member(rows, "SSKT", n)]
+    assume(outside)
+    rows = data.draw(st.sampled_from(outside))
+    S2, rows2 = iota(S, rows, b, n)
+    assert rows2 == rows
+    assert snake_sign(S2) == -snake_sign(S)
+    assert iota(S2, rows, b, n) == (S, rows)
 
 
 def test_tabloids_reject_negative_parts():
