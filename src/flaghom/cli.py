@@ -20,7 +20,8 @@ from .kohnert import build_Da, diagram, kohnert_polynomial
 from .polynomials import Poly, express_in_basis, poly_to_json
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
 from .schubert import h_schubert_expansion
-from .snakes import enumerate_special_snake_tabloids, expand_key_into_h
+from .snakes import (enumerate_special_snake_tabloids, expand_key_into_h,
+                     tabloid_json_values)
 from .verify import SUITES, run_suite
 
 
@@ -143,6 +144,8 @@ def cmd_kohnert(args):
         a = parse_comp(args.shape)
         n = args.n if args.n is not None else max(len(strip(a)), 1)
         D = build_Da(a, n)
+    elif args.n is not None:
+        raise ValueError("--n is read only with --shape")
     else:
         D = diagram(parse_comp(cell) for cell in args.diagram.split(";"))
     poly = kohnert_polynomial(D)
@@ -165,10 +168,9 @@ def cmd_snakes(args):
     if args.json:
         # json.dumps of the list, written one tabloid at a time
         encode = json.JSONEncoder(sort_keys=True).encode
-        memo = {}
         sys.stdout.write("[")
-        for k, t in enumerate(tabloids):
-            sys.stdout.write((", " if k else "") + encode(t.to_json(memo)))
+        for k, value in enumerate(tabloid_json_values(tabloids)):
+            sys.stdout.write((", " if k else "") + encode(value))
         sys.stdout.write("]\n")
     else:
         for t in tabloids:

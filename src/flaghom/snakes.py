@@ -219,21 +219,26 @@ class SnakeTabloid:
             out *= snake_sign(S)
         return out
 
-    def to_json(self, memo=None):
-        """The tabloid as a JSON value.  memo, a dict from snake to its sorted
-        cells and sign, lets a caller that dumps many tabloids one by one work
-        out each distinct snake once; values built with one memo share its
-        cell lists."""
-        memo = {} if memo is None else memo
+    def to_json(self):
+        (value,) = tabloid_json_values([self])
+        return value
+
+
+def tabloid_json_values(tabloids):
+    """The to_json() value of each tabloid in turn, working out each distinct
+    snake's sorted cells and sign once.  Values of one call share those cell
+    lists, so a caller that keeps them must not change them."""
+    memo = {}
+    for t in tabloids:
         sign = 1
-        for S in self.snakes:
+        for S in t.snakes:
             if S not in memo:
                 memo[S] = sorted(map(list, S)), snake_sign(S)
             sign *= memo[S][1]
-        return {
-            "shape": list(self.shape),
-            "snakes": [memo[S][0] for S in self.snakes],
-            "weight": list(self.weight()),
+        yield {
+            "shape": list(t.shape),
+            "snakes": [memo[S][0] for S in t.snakes],
+            "weight": list(t.weight()),
             "sign": sign,
         }
 

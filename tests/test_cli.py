@@ -206,6 +206,7 @@ def run_error(capsys, *argv):
     ("rsk", "--inverse", "--flagged", "--n", "2", "--pair",
      '{"S": {"rows": [[1]]}, "T": {"rows": [[1]]}}'),
     ("render", "matrix", "[[1]]", "--n", "3"),
+    ("kohnert", "--diagram", "1,1", "--n", "9"),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)

@@ -19,7 +19,7 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             enumerate_special_snake_tabloids, gset_enumerate,
                             in_gset, inverse_ktilde, iota, is_rim_hook,
                             is_snake, is_special_snake, s_attacks,
-                            snake_sign, special_snakes,
+                            snake_sign, special_snakes, tabloid_json_values,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
 
@@ -135,11 +135,13 @@ def test_piece_cache_stays_bounded(monkeypatch):
         assert 0 < len(snakes._piece_cache) <= 4
 
 
-def test_to_json_memo_gives_the_same_values():
-    memo = {}
-    for t in enumerate_special_snake_tabloids((2, 0, 3, 1)):
-        assert t.to_json(memo) == t.to_json()
-    assert memo
+def test_tabloid_json_values_match_to_json():
+    tabloids = enumerate_special_snake_tabloids((2, 0, 3, 1))
+    values = list(tabloid_json_values(tabloids))
+    assert values == [t.to_json() for t in tabloids]
+    first = tabloids[0].to_json()
+    first["snakes"][0].append([9, 9])  # to_json values share no list
+    assert tabloids[0].to_json() == values[0]
 
 
 def test_tabloids_of_two_cells():
