@@ -9,9 +9,9 @@ from .bases import (BasisExpansion, demazure_atom, expand_h_into_atoms,
 from .compositions import dominance_leq, key_poset_leq, relabel
 from .fillings import (FillingStats, attacking, enumerate_fillings,
                        is_member, key_diagram, statistics, weight_of)
-from .frsk import (biword_from_matrix, flagged_insert, frsk, frsk_inverse,
-                   lift_F, matrix_from_biword, rho, rho_inverse, rsk,
-                   rsk_insert, rsk_inverse, tau, tau_dagger)
+from .frsk import (biword_from_matrix, frsk, frsk_inverse, lift_F,
+                   matrix_from_biword, rho, rho_inverse, rsk, rsk_inverse,
+                   tau, tau_dagger)
 from .kohnert import (build_Da, kohnert_closure, kohnert_moves,
                       kohnert_polynomial, phi, phi_inverse)
 from .permutations import grassmannian_perm, k_bruhat_covers

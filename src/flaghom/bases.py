@@ -9,7 +9,7 @@ from .compositions import (as_comp, compositions_of, dominance_key, pad,
                            partitions_of, rev, size, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import rho_inverse
-from .polynomials import Poly, grlex_key
+from .polynomials import Poly, sorted_terms
 
 
 def h_complete(k, m):
@@ -119,15 +119,10 @@ class BasisExpansion:
     def coefficient(self, index):
         return self.terms.get(strip(index), 0)
 
-    def sorted_terms(self, n=None):
-        n = max((len(k) for k in self.terms), default=0) if n is None else n
-        return [(pad(k, max(n, len(k))), self.terms[k])
-                for k in sorted(self.terms, key=lambda k: grlex_key(k, n))]
-
-    def to_json(self, n=None):
+    def to_json(self):
         return {
             "basis": self.basis,
-            "terms": [{"index": list(k), "coef": v} for k, v in self.sorted_terms(n)],
+            "terms": [{"index": list(k), "coef": v} for k, v in sorted_terms(self.terms)],
         }
 
 

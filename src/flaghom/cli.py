@@ -17,7 +17,7 @@ from .compositions import as_comp, as_matrix, size, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
                    rsk, rsk_inverse)
 from .kohnert import build_Da, diagram, kohnert_polynomial
-from .polynomials import Poly, express_in_basis, poly_to_json
+from .polynomials import Poly, express_in_basis, poly_to_json, sorted_terms
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
 from .schubert import h_schubert_expansion
 from .snakes import (enumerate_special_snake_tabloids, expand_key_into_h,
@@ -86,7 +86,7 @@ def cmd_expand(args):
         out = {"basis": "schubert", "terms": [{"perm": list(w), "coef": c} for w, c in terms]}
     elif pair in EXPANSIONS:
         exp = EXPANSIONS[pair](index, n)
-        terms, out = exp.sorted_terms(), exp.to_json()
+        terms, out = sorted_terms(exp.terms), exp.to_json()
     else:
         raise ValueError(f"unsupported basis pair {args.source} -> {args.target}")
     if args.json:

@@ -32,6 +32,11 @@ def as_matrix(A):
     return A
 
 
+def is_lower_triangular(A):
+    """Square, with zeros strictly above the diagonal."""
+    return all(len(row) == len(A) and not any(row[i + 1:]) for i, row in enumerate(A))
+
+
 def strip(a):
     """Drop trailing zeros: the canonical representative of a composition."""
     a = tuple(a)

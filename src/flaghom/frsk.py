@@ -7,7 +7,7 @@ a list of (top, bottom) pairs kept in the canonical order: top entries
 weakly increasing, bottom entries weakly decreasing within a constant top.
 """
 
-from .compositions import as_matrix
+from .compositions import as_matrix, is_lower_triangular
 from .fillings import is_member, shape_of
 
 
@@ -30,11 +30,6 @@ def matrix_from_biword(pairs, n=None):
             raise ValueError(f"biword letter of {(i, j)} outside [{n}]")
         M[i - 1][j - 1] += 1
     return tuple(tuple(r) for r in M)
-
-
-def is_lower_triangular(A):
-    """Square, with zeros strictly above the diagonal."""
-    return all(len(row) == len(A) and not any(row[i + 1:]) for i, row in enumerate(A))
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +58,6 @@ def rsk_insert_trace(P, j):
         j, row[pos] = row[pos], j
         r += 1
     return tuple(tuple(r) for r in rows), chain
-
-
-def rsk_insert(P, j):
-    return rsk_insert_trace(P, j)[0]
 
 
 def _fold(A, insert):
@@ -189,10 +180,6 @@ def flagged_insert_trace(S, j, n):
             row.append(j)
             break
     return tuple(tuple(r) for r in rows), chain
-
-
-def flagged_insert(S, j, n):
-    return flagged_insert_trace(S, j, n)[0]
 
 
 def frsk(L):

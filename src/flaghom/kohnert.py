@@ -7,8 +7,7 @@ and carry each diagram's weight along its moves; ``kohnert_moves`` is the oracle
 
 from collections import Counter
 
-from .compositions import as_comp, as_matrix
-from .frsk import is_lower_triangular
+from .compositions import as_comp, as_matrix, is_lower_triangular
 from .polynomials import Poly
 
 

@@ -48,10 +48,6 @@ class Poly:
         """The variable x_i (1-based)."""
         return cls.monomial((0,) * (i - 1) + (1,))
 
-    @property
-    def nvars(self):
-        return max((len(e) for e in self.terms), default=0)
-
     def is_zero(self):
         return not self.terms
 
@@ -72,9 +68,6 @@ class Poly:
         if isinstance(other, int):
             other = Poly({(): other})
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -101,9 +94,6 @@ class Poly:
         if isinstance(other, int):
             other = Poly({(): other})
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -139,19 +129,11 @@ class Poly:
             k >>= 1
         return result
 
-    def sorted_terms(self, n=None):
-        """Terms as (padded exponent, coef) pairs in graded lex order."""
-        n = self.nvars if n is None else max(n, self.nvars)
-        return [
-            (pad(e, n), self.terms[e])
-            for e in sorted(self.terms, key=lambda e: grlex_key(e, n))
-        ]
-
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for exp, coef in self.sorted_terms():
+        for exp, coef in sorted_terms(self.terms):
             factors = [f"x{i+1}" + (f"^{p}" if p > 1 else "")
                        for i, p in enumerate(exp) if p]
             body = "*".join(factors)
@@ -173,14 +155,16 @@ def mul_exps(e1, e2):
     return tuple(e1[i] + (e2[i] if i < len(e2) else 0) for i in range(len(e1)))
 
 
-def grlex_key(exp, n):
-    return (sum(exp), pad(strip(exp), n))
+def sorted_terms(terms):
+    """The items of a dict keyed by stripped compositions, in graded lex
+    order, each key padded with zeros to the longest."""
+    n = max(map(len, terms), default=0)
+    return [(pad(e, n), terms[e]) for e in sorted(terms, key=lambda e: (sum(e), e))]
 
 
-def poly_to_json(p, n=None):
+def poly_to_json(p):
     """JSON form: list of {"exp", "coef"} in graded lex order."""
-    n = p.nvars if n is None else max(n, p.nvars)
-    return [{"exp": list(e), "coef": c} for e, c in p.sorted_terms(n)]
+    return [{"exp": list(e), "coef": c} for e, c in sorted_terms(p.terms)]
 
 
 def express_in_basis(p, basis):

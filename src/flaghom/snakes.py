@@ -197,8 +197,9 @@ def _snake_pieces(d):
 
 
 def special_snakes(b):
-    """All (snake, residual shape) pairs for the special snakes of D(b)."""
-    return list(_snake_pieces(b))
+    """All (snake, residual shape) pairs for the special snakes of D(b).
+    Rejects what as_comp rejects."""
+    return list(_snake_pieces(as_comp(b)))
 
 
 @dataclass(frozen=True)
@@ -219,15 +220,12 @@ class SnakeTabloid:
             out *= snake_sign(S)
         return out
 
-    def to_json(self):
-        (value,) = tabloid_json_values([self])
-        return value
-
 
 def tabloid_json_values(tabloids):
-    """The to_json() value of each tabloid in turn, working out each distinct
-    snake's sorted cells and sign once.  Values of one call share those cell
-    lists, so a caller that keeps them must not change them."""
+    """The JSON value of each tabloid in turn (shape, snakes as sorted cell
+    lists, weight, sign), working out each distinct snake's sorted cells and
+    sign once.  Values of one call share those cell lists, so a caller that
+    keeps them must not change them."""
     memo = {}
     for t in tabloids:
         sign = 1

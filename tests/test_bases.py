@@ -189,7 +189,7 @@ def test_expansions_reject_negative_parts(expand):
 
 
 def test_expansion_json_is_sorted():
-    data = expand_h_into_keys((1, 1)).to_json(2)
+    data = expand_h_into_keys((1, 1)).to_json()
     assert data == {
         "basis": "key",
         "terms": [{"index": [1, 1], "coef": 1}, {"index": [2, 0], "coef": 1}],

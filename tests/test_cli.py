@@ -13,7 +13,7 @@ from flaghom.bases import BasisExpansion, ktilde_upper
 from flaghom.cli import build_parser, main, parse_comp
 from flaghom.compositions import compositions_of
 from flaghom.render import render_tabloid
-from flaghom.snakes import enumerate_special_snake_tabloids
+from flaghom.snakes import enumerate_special_snake_tabloids, tabloid_json_values
 
 
 def run(capsys, *argv):
@@ -105,7 +105,7 @@ def test_snakes_json_is_one_dump_of_the_list(capsys, shape):
     tabloids = enumerate_special_snake_tabloids(parse_comp(shape))
     code, out = run(capsys, "snakes", "--shape", shape, "--json")
     assert code == 0
-    assert out == json.dumps([t.to_json() for t in tabloids], sort_keys=True) + "\n"
+    assert out == json.dumps(list(tabloid_json_values(tabloids)), sort_keys=True) + "\n"
 
 
 def test_snakes_text(capsys):

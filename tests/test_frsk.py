@@ -1,15 +1,16 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.compositions import compositions_of, partitions_of
 from flaghom.fillings import enumerate_fillings, is_member, shape_of, weight_of
-from flaghom.frsk import (biword_from_matrix, flagged_insert,
-                          flagged_insert_trace, frsk, frsk_inverse, lift_F,
-                          matrix_from_biword, pad_rows, rho, rho_inverse, rsk,
-                          rsk_insert, rsk_insert_trace, rsk_inverse, tau,
-                          tau_dagger)
+from flaghom.frsk import (biword_from_matrix, flagged_insert_trace, frsk,
+                          frsk_inverse, lift_F, matrix_from_biword, pad_rows,
+                          rho, rho_inverse, rsk, rsk_insert_trace, rsk_inverse,
+                          tau, tau_dagger)
 
 PAIRS = list(zip(ref.BIWORD_TOP, ref.BIWORD_BOTTOM))
 M13 = matrix_from_biword(PAIRS, 7)
@@ -42,8 +43,8 @@ def test_biword_matrix_examples():
 
 
 def test_rsk_insert_examples():
-    assert rsk_insert((), 3) == ((3,),)
-    assert rsk_insert(((2,),), 2) == ((2, 2),)
+    assert rsk_insert_trace((), 3)[0] == ((3,),)
+    assert rsk_insert_trace(((2,),), 2)[0] == ((2, 2),)
     out, chain = rsk_insert_trace(ref.P_BEFORE, 3)
     assert out == ref.P_FIG
     assert chain == ref.P_CHAIN
@@ -57,7 +58,7 @@ def test_rsk_examples():
 
 
 def test_flagged_insert_examples():
-    assert flagged_insert(((), ()), 1, 2) == ((), (1,))
+    assert flagged_insert_trace(((), ()), 1, 2)[0] == ((), (1,))
     out, chain = flagged_insert_trace(ref.SSKT_BEFORE, 3, 7)
     assert out == ref.SSKT_FIG
     assert chain == ref.SSKT_CHAIN
@@ -235,7 +236,26 @@ def test_insertion_commutes_with_column_stack():
             S, _ = flagged_insert_trace(pad_rows(S, i), j, i)
         S = pad_rows(S, 3)
         for j in (1, 2, 3):
-            assert tau(flagged_insert(S, j, 3)) == rsk_insert(tau(S), j), (L, j)
+            inserted = flagged_insert_trace(S, j, 3)[0]
+            assert tau(inserted) == rsk_insert_trace(tau(S), j)[0], (L, j)
+
+
+@st.composite
+def small_lower_triangular(draw, max_n=6, max_sum=8):
+    """An n x n lower triangular natural matrix, n <= max_n, entry sum <= max_sum."""
+    n = draw(st.integers(1, max_n))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=max_sum))
+    M = [[0] * n for _ in range(n)]
+    for i, j in cells:
+        M[max(i, j)][min(i, j)] += 1
+    return tuple(map(tuple, M))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_lower_triangular())
+def test_frsk_inverse_undoes_frsk(L):
+    assert frsk_inverse(*frsk(L)) == L
 
 
 @pytest.mark.parametrize("call, A", [

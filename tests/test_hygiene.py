@@ -4,16 +4,25 @@ of a library module is referred to by name somewhere in the package or the
 tests, outside its own body.
 
 The package ``__init__`` is exempt, since its imports are re-exports.
+
+The benchmark in ``perfbench/`` wraps library functions by name and runs
+library queries; the last tests read it, without changing it, so that a
+renamed or deleted library name cannot silently break a benchmark run.
 """
 
 import ast
+import importlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import flaghom
+from flaghom import schubert
 
 PACKAGE = Path(flaghom.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
@@ -94,3 +103,36 @@ def used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, used_names):
     assert unreferenced_definitions(path.read_text(), used_names) == []
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's tracer and child modules, imported from its directory."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracer"), importlib.import_module("child")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("tracer", "workloads", "child"):
+            sys.modules.pop(name, None)
+
+
+def test_perfbench_layer_names_resolve(perfbench):
+    tracer, _ = perfbench
+    for layer, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"flaghom.{layer}")
+        for name in names:
+            if layer == "polynomials" and name in tracer.POLY_METHODS:
+                found = [getattr(module.Poly, slot) for slot in tracer.POLY_METHODS[name]]
+            else:
+                found = [getattr(module, name)]
+            assert all(map(callable, found)), f"{layer}.{name}"
+    assert isinstance(schubert._oracle_cache, dict)
+
+
+def test_perfbench_queries_match_expected_digests(perfbench):
+    _, child = perfbench
+    pool = json.loads((PERFBENCH / "expected.json").read_text())["pool"]
+    assert {q["kind"] for q in pool} == set(child.query_kinds())
+    digests = [digest for _, digest in child.run_stream([[q["kind"], q["input"]] for q in pool])]
+    assert digests == [q["sha256"] for q in pool]

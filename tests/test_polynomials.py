@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaghom.bases import h_basis_family, h_complete, key_basis_family
 from flaghom.kohnert import build_Da, diagram_weight, kohnert_closure
+from flaghom.compositions import strip
 from flaghom.polynomials import (Poly, divided_difference, express_in_basis,
                                  poly_to_json)
 
@@ -95,9 +98,23 @@ def test_express_roundtrip_and_rejection():
         express_in_basis(Poly.variable(3), h_basis_family([1], 2))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([h_basis_family, key_basis_family]),
+       st.integers(1, 3), st.integers(0, 3), st.data())
+def test_express_gives_back_the_coefficients_of_a_combination(family_of, n, d, data):
+    family = family_of([d], n)
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(family),
+                               max_size=len(family)))
+    p = Poly.zero()
+    for (_, elem), c in zip(family, coefs):
+        p = p + c * elem
+    want = {strip(index): c for (index, _), c in zip(family, coefs) if c}
+    assert express_in_basis(p, family) == want
+
+
 def test_json_order():
     p = (X1 + X2) ** 2 + X1
-    data = poly_to_json(p, 2)
+    data = poly_to_json(p)
     assert data == [
         {"exp": [1, 0], "coef": 1},
         {"exp": [0, 2], "coef": 1},
