@@ -185,10 +185,13 @@ def cmd_verify(args):
     if args.deg is not None and args.deg < 0:
         raise ValueError(f"--deg must be nonnegative, got {args.deg}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    given = {"n": args.n, "deg": args.deg}
     failed = False
     reports = []
     for name in names:
-        report = run_suite(name, n=args.n, deg=args.deg)
+        # all hands each suite the options it reads; a named suite refuses the rest
+        options = SUITES[name].options if args.suite == "all" else given
+        report = run_suite(name, **{k: v for k, v in given.items() if k in options})
         reports.append(report)
         if not args.json:
             print(report.summary())

@@ -2,10 +2,14 @@
 functions, and the one-cell-per-column staircase diagram whose closure is
 counted by lower triangular matrices.
 
-Closures search over tuples of per-column row bitmasks (bit r - 1 for row r)
-and carry each diagram's weight along its moves; ``kohnert_moves`` is the oracle."""
+Closures are walked on packed diagrams.  With C the number of occupied
+columns, row r holds its cells in bits [(r - 1)C, rC) of one integer; the
+weight is one integer in base B = |D| + 1, digit r - 1 counting row r, so a
+move from row src to dest adds B^dest - B^src.  A move lowers the row sum, so
+the walk pops row-sum buckets from the highest down, each complete, and keeps
+no visited set of the whole closure.  ``kohnert_moves`` is the oracle."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .compositions import as_comp, as_matrix, is_lower_triangular
 from .polynomials import Poly
@@ -53,51 +57,47 @@ def kohnert_moves(D):
     return out
 
 
-def _mask_moves(cols):
-    """Each move of a diagram as column masks: (the masks after it, the row
-    index left, the row index entered), rows counted from 0."""
-    seen = 0
-    for c in range(len(cols) - 1, -1, -1):
-        m = cols[c]
-        fresh = m & ~seen  # the rightmost cells of their rows
-        seen |= m
-        while fresh:
-            src = fresh.bit_length() - 1
-            fresh ^= 1 << src
-            below = ~m & ((1 << src) - 1)
-            if below:
-                dest = below.bit_length() - 1  # the highest vacant row below
-                yield cols[:c] + (m ^ (1 << src | 1 << dest),) + cols[c + 1:], src, dest
-
-
-def _closure(D):
-    """Each element of the closure of D, as column masks, mapped to its weight."""
+def _walk(D):
+    """Yield the cell of each bit, B and each row-sum bucket {diagram: weight}."""
     D = diagram(D)
-    start = tuple(sum(1 << (r - 1) for c, r in D if c == col)
-                  for col in range(1, max((c for c, _ in D), default=0) + 1))
-    weights = {start: diagram_weight(D)}
-    queue = [start]
-    for T in queue:
-        for U, src, dest in _mask_moves(T):
-            if U not in weights:
-                w = list(weights[T])
-                w[src] -= 1
-                w[dest] += 1
-                weights[U] = tuple(w)
-                queue.append(U)
-    return weights
+    cols = sorted({c for c, _ in D})  # a move keeps its column
+    C, R, B = len(cols), max((r for _, r in D), default=0), len(D) + 1
+    full = (1 << C) - 1
+    power = [B ** (i // C) for i in range(R * C)]  # the weight of a cell, by bit
+    # row r > 0: its shift, the cells below it by column and the weight of its cells
+    rows = [(r, r * C, [sum(1 << (s * C + c) for s in range(r)) for c in range(C)], B ** r)
+            for r in range(1, R)]
+    cells = [(c, r) for r in range(1, R + 1) for c in cols]
+    start = sum(1 << cells.index(cell) for cell in D)
+    buckets = defaultdict(dict, {sum(r for _, r in D): {start: sum(B ** (r - 1) for _, r in D)}})
+    while buckets:
+        bucket = buckets.pop(s := max(buckets))
+        yield cells, B, bucket
+        for T, w in bucket.items():
+            for r, shift, below, src in rows:
+                row = T >> shift & full
+                if row:
+                    c = row.bit_length() - 1  # the rightmost cell of row r
+                    d = (below[c] & ~T).bit_length() - 1  # the highest vacancy below it
+                    if d >= 0:
+                        buckets[s - r + d // C].setdefault(T ^ (1 << shift + c | 1 << d),
+                                                           w - src + power[d])
 
 
 def kohnert_closure(D):
     """Least set of diagrams containing D and closed under moves."""
-    return {frozenset((c, r) for c, m in enumerate(T, start=1)
-                      for r in range(1, m.bit_length() + 1) if m >> (r - 1) & 1)
-            for T in _closure(D)}
+    return {frozenset(cells[i] for i in range(T.bit_length()) if T >> i & 1)
+            for cells, _, bucket in _walk(D) for T in bucket}
 
 
 def kohnert_polynomial(D):
     """Weight generating function of the closure; the empty diagram gives 1."""
-    return Poly.from_terms(Counter(_closure(D).values()).items())
+    counts = Counter()
+    for _, B, bucket in _walk(D):
+        counts.update(bucket.values())
+    # w has fewer base-B digits than bits; from_terms strips the zeros past them
+    return Poly.from_terms((tuple(w // B ** i % B for i in range(w.bit_length())), k)
+                           for w, k in counts.items())
 
 
 def _window_parts(a):

@@ -71,15 +71,20 @@ class VerifyReport:
 
 def _timed(n_default=None, deg_default=None):
     """Make a suite a timed run that takes n and deg, each defaulting to the
-    suite's own range."""
+    suite's own range; a suite without a range for one refuses it."""
     def wrap(fn):
         def run(n=None, deg=None):
             report = VerifyReport(fn.__name__.removeprefix("suite_").replace("_", "-"))
+            for option, value in (("n", n), ("deg", deg)):
+                if value is not None and option not in run.options:
+                    raise ValueError(f"suite {report.suite} does not read --{option}")
             start = time.perf_counter()
             fn(report, n_default if n is None else n, deg_default if deg is None else deg)
             report.seconds = time.perf_counter() - start
             return report
 
+        run.options = {name for name, default in (("n", n_default), ("deg", deg_default))
+                       if default is not None}
         return run
 
     return wrap

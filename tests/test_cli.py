@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaghom import cli
 from flaghom import reference as ref
 from flaghom.bases import BasisExpansion, ktilde_upper
 from flaghom.cli import build_parser, main, parse_comp
 from flaghom.compositions import compositions_of
 from flaghom.render import render_tabloid
 from flaghom.snakes import enumerate_special_snake_tabloids, tabloid_json_values
+from flaghom.verify import SUITES, VerifyReport
 
 
 def run(capsys, *argv):
@@ -122,6 +124,31 @@ def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "cauchy", "--n", "3", "--deg", "4")
     assert code == 0
     assert out.startswith("cauchy: PASS")
+
+
+def test_verify_all_hands_each_suite_only_the_options_it_reads(capsys, monkeypatch):
+    calls = {}
+
+    def fake_run_suite(name, **options):
+        calls[name] = options
+        return VerifyReport(name)
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    code, _ = run(capsys, "verify", "all", "--n", "4", "--deg", "6")
+    assert code == 0
+    assert calls == {name: {"n": 4, "deg": 6} for name in SUITES} | {
+        "cancelfree": {"deg": 6}, "regressions": {}}
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("regressions", "--n", "9", "--deg", "9"), "n"),  # each once exited 0, the option unread
+    (("regressions", "--deg", "9"), "deg"),
+    (("cancelfree", "--n", "9"), "n"),
+])
+def test_verify_suite_refuses_an_option_it_does_not_read(capsys, argv, option):
+    code, out, err = run_error(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == [f"error: suite {argv[0]} does not read --{option}"]
 
 
 def test_render_filling(capsys):

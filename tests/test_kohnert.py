@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from flaghom import reference as ref
 from flaghom.bases import h_flagged
 from flaghom.compositions import compositions_of
-from flaghom.kohnert import (_mask_moves, build_Da, diagram_weight,
-                             is_southwest, kohnert_closure, kohnert_moves,
-                             kohnert_polynomial, phi, phi_inverse)
+from flaghom.kohnert import (build_Da, diagram_weight, is_southwest,
+                             kohnert_closure, kohnert_moves, kohnert_polynomial,
+                             phi, phi_inverse)
 from flaghom.polynomials import Poly
 
 
@@ -129,28 +129,6 @@ def test_entry_points_reject_cells_off_the_grid():
         kohnert_closure({(True, True)})
 
 
-def mask_moves_on_cells(D):
-    """The bitmask moves of D, decoded to cells; each move's row indices must
-    turn the weight of D into the weight of the diagram it reaches."""
-    n = max((r for _, r in D), default=0)
-    width = max((c for c, _ in D), default=0)
-    cols = [0] * width
-    for c, r in D:
-        cols[c - 1] |= 1 << (r - 1)
-    out = []
-    for U, src, dest in _mask_moves(tuple(cols)):
-        weight = list(diagram_weight(D, n))
-        weight[src] -= 1
-        weight[dest] += 1
-        assert len(U) == width
-        T = frozenset((c, r) for c, m in enumerate(U, start=1)
-                      for r in range(1, m.bit_length() + 1) if m >> (r - 1) & 1)
-        assert diagram_weight(T, n) == tuple(weight)
-        out.append(T)
-    assert len(out) == len(set(out))
-    return set(out)
-
-
 def closure_by_oracle(D):
     seen, queue = {D}, [D]
     for T in queue:
@@ -160,32 +138,43 @@ def closure_by_oracle(D):
     return seen
 
 
-def test_mask_moves_match_the_oracle_on_closures():
-    assert mask_moves_on_cells(ref.KOHNERT_START) == ref.KOHNERT_RESULTS
-    checked = 0
-    for n in range(1, 5):
-        for d in range(7):
-            for a in compositions_of(d, n):
-                for T in kohnert_closure(build_Da(a, n)):
-                    assert mask_moves_on_cells(T) == kohnert_moves(T), T
-                    checked += 1
+def assert_walk_matches_the_oracle(D):
+    """The closure and polynomial of D against a search over kohnert_moves;
+    the size of the closure."""
+    closure = closure_by_oracle(D)
+    assert kohnert_closure(D) == closure, D
+    assert kohnert_polynomial(D) == Poly.from_terms((diagram_weight(T), 1) for T in closure), D
+    return len(closure)
+
+
+def test_walk_matches_the_oracle_on_every_Da():
+    checked = sum(assert_walk_matches_the_oracle(build_Da(a, n)) for n in range(1, 5)
+                  for d in range(7) for a in compositions_of(d, n))
     assert checked == 9023
 
 
+def test_walk_matches_the_oracle_on_edge_cases():
+    # no cell; an empty middle row; an empty middle column; a lone cell right
+    # of empty columns; a full column, which has no move
+    column = frozenset((2, r) for r in range(1, 6))
+    for D in [frozenset(), frozenset({(1, 1), (2, 3), (1, 3)}),
+              frozenset({(1, 2), (3, 2), (3, 1)}), frozenset({(9, 4)}), column]:
+        assert_walk_matches_the_oracle(D)
+    assert kohnert_closure(column) == {column}
+
+
+def test_walk_gives_h_flagged_on_the_readme_shape():
+    a = (1, 0, 3, 6, 1, 0, 2)
+    poly = kohnert_polynomial(build_Da(a))
+    assert poly == h_flagged(a)
+    assert sum(poly.terms.values()) == 117600  # lower triangular matrices of row sum a
+
+
 # columns with gaps, rows above any window of a staircase diagram
-diagrams = st.frozensets(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=12)
-small_diagrams = st.frozensets(st.tuples(st.integers(1, 5), st.integers(1, 4)), max_size=5)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(diagrams)
-def test_mask_moves_match_the_oracle(D):
-    assert mask_moves_on_cells(D) == kohnert_moves(D)
+diagrams = st.frozensets(st.tuples(st.integers(1, 6), st.integers(1, 7)), max_size=7)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(small_diagrams)
+@given(diagrams)
 def test_closure_and_polynomial_match_the_oracle(D):
-    closure = closure_by_oracle(D)
-    assert kohnert_closure(D) == closure
-    assert kohnert_polynomial(D) == Poly.from_terms((diagram_weight(T), 1) for T in closure)
+    assert_walk_matches_the_oracle(D)
