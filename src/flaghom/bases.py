@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .compositions import (as_comp, compositions_of, dominance_key, pad,
+from .compositions import (as_comp, compositions_of, dominance_key,
                            partitions_of, rev, size, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import rho_inverse
@@ -81,29 +81,20 @@ def demazure_atom(a, n=None):
 
 def ktilde(a, b):
     """Number of rSSAF of shape a and weight b (0 on degree mismatch)."""
-    a, b = strip(a), strip(b)
-    if size(a) != size(b):
-        return 0
-    n = max(len(a), len(b), 1)
-    return len(enumerate_fillings(pad(a, n), n, "rSSAF", weight=pad(b, n)))
+    n = max(len(strip(a)), len(strip(b)), 1)
+    return len(enumerate_fillings(a, n, "rSSAF", weight=b))
 
 
 def ktilde_upper(a, b):
     """Number of SSKT of shape rev(a) and weight rev(b) (0 on mismatch)."""
-    a, b = strip(a), strip(b)
-    if size(a) != size(b):
-        return 0
-    n = max(len(a), len(b), 1)
+    n = max(len(strip(a)), len(strip(b)), 1)
     return len(enumerate_fillings(rev(a, n), n, "SSKT", weight=rev(b, n)))
 
 
 def kostka(lam, b):
     """Classical Kostka number: SSYT of shape lam and weight b."""
-    lam, b = tuple(lam), strip(b)
-    if size(lam) != size(b):
-        return 0
-    n = max(len(lam), len(b), 1)
-    return len(enumerate_fillings(lam, n, "SSYT", weight=pad(b, n)))
+    n = max(len(strip(lam)), len(strip(b)), 1)
+    return len(enumerate_fillings(lam, n, "SSYT", weight=b))
 
 
 @dataclass

@@ -68,9 +68,9 @@ def sort_comp(a):
 
 
 def rev(a, n=None):
-    """Reversal over the window of length n (default: the declared length)."""
+    """Reversal of a, stripped and padded to n parts (default: as declared)."""
     if n is not None:
-        a = pad(a, n)
+        a = pad(strip(a), n)
     return tuple(reversed(tuple(a)))
 
 

@@ -177,28 +177,27 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     optionally restricted to a fixed weight.
 
     Output is deterministic: lexicographic in the entry sequence read row 1
-    upward, left to right.  Backtracks cell by cell with the attacking, row
-    monotonicity, and triple conditions enforced on prefixes.
+    upward, left to right.  Backtracks cell by cell under a budget of the
+    entries of each value still to place.  SSKT are tested by the key tableau
+    rules of S. Assaf and D. Searles, equivalent to `is_member`'s statistics.
     """
     shape = as_comp(shape, n)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
+    budget = [sum(shape)] * n
     if weight is not None:
         weight = strip(as_comp(weight))
-        weight = pad(weight, n) if len(weight) <= n else None
-        if weight is None or sum(weight) != sum(shape):
+        if len(weight) > n or sum(weight) != sum(shape):
             return []
+        budget = list(pad(weight, n))
 
-    a = pad(shape, n)
     cells = [(c, r) for r in range(1, len(shape) + 1) for c in range(1, shape[r - 1] + 1)]
-    partial = [[0] * shape[r - 1] for r in range(1, len(shape) + 1)]
-    counts = [0] * (n + 1)
+    # a cell past the end of its row reads 0, below every entry, so the tests
+    # need no row lengths; they read only placed cells, so no value is cleared
+    partial = [[0] * (max(shape, default=0) + 1) for _ in shape]
     results = []
-
-    def entry(c, r):
-        return r if c == 0 else partial[r - 1][c - 1]
 
     def feasible(c, s, e):
         if flavor == "SSYT":
@@ -209,53 +208,41 @@ def enumerate_fillings(shape, n, flavor, weight=None):
             if c > 1 and not partial[s - 1][c - 2] >= e:
                 return False
             return s == 1 or partial[s - 2][c - 1] > e
-
-        decreasing = flavor == "SSKT"
-        left = entry(c - 1, s)
-        if decreasing:
+        left = s if c == 1 else partial[s - 1][c - 2]  # the basement entry s heads row s
+        if flavor == "SSKT":
             if e > left:
                 return False
-        else:
-            if e < left:
-                return False
-        if c == 1 and e > s:
-            return False  # attacks the basement entry e in a higher row
-        for r in range(1, s):
-            if a[r - 1] >= c and partial[r - 1][c - 1] == e:
-                return False
-            if a[r - 1] >= c + 1 and partial[r - 1][c] == e:
-                return False
-        oriented = _coinv_oriented if decreasing else _inv_oriented
-        for r in range(1, s):
-            if a[r - 1] > a[s - 1] and a[r - 1] >= c + 1:
-                k, i = partial[r - 1][c - 1], partial[r - 1][c]
-                if i != e and k != e and i != k and oriented(i, e, k):
+            # an entry k below e in its column differs from e, and k > e needs a
+            # right neighbor > e: rows decrease, so e may not lie in [neighbor, k]
+            for below in partial[:s - 1]:
+                if below[c] <= e <= below[c - 1]:
                     return False
-            if a[r - 1] <= a[s - 1] and a[r - 1] >= c:
-                j, k = partial[r - 1][c - 1], entry(c - 1, s)
-                if j != e and k != e and j != k and oriented(e, j, k):
+            return True
+        # rSSAF: once rows increase and entries differ, only the type A and B triples can occur
+        if e < left or c == 1 and e != s:
+            return False
+        for length, below in zip(shape, partial[:s - 1]):
+            k, right = below[c - 1], below[c]
+            if k == e or right == e:
+                return False
+            if length > shape[s - 1]:
+                if k < e < right:
                     return False
-        if c == 1:
-            for s2 in range(s + 1, n + 1):
-                if a[s - 1] > a[s2 - 1] and e != s and e != s2 and oriented(e, s2, s):
-                    return False
+            elif left < k < e:
+                return False
         return True
 
     def backtrack(idx):
         if idx == len(cells):
-            if weight is None or tuple(counts[1:]) == weight:
-                results.append(tuple(tuple(r) for r in partial))
+            results.append(tuple(tuple(row[:part]) for row, part in zip(partial, shape)))
             return
         c, s = cells[idx]
         for e in range(1, n + 1):
-            if weight is not None and counts[e] >= weight[e - 1]:
-                continue
-            if feasible(c, s, e):
+            if budget[e - 1] and feasible(c, s, e):
                 partial[s - 1][c - 1] = e
-                counts[e] += 1
+                budget[e - 1] -= 1
                 backtrack(idx + 1)
-                counts[e] -= 1
-                partial[s - 1][c - 1] = 0
+                budget[e - 1] += 1
 
     backtrack(0)
     return results

@@ -347,17 +347,16 @@ def enumerate_special_rim_hook_tabloids(mu):
 # fillings carrying a snake of ones, and the sign-reversing involution
 
 
-def gset_enumerate(S, b, n=None):
+def gset_enumerate(S, b):
     """Fillings of D(b) that are 1 on the special snake S and restrict to an
-    SSKT on the complement key diagram."""
+    SSKT in the window len(b) on the complement key diagram."""
     b = tuple(b)
-    n = len(b) if n is None else n
     S = frozenset(S)
     if not is_special_snake(S, b):
         raise ValueError("not a special snake of the diagram")
     a = complement_shape(S, b)
     out = []
-    for inner in enumerate_fillings(pad(a, len(b)), n, "SSKT"):
+    for inner in enumerate_fillings(pad(a, len(b)), len(b), "SSKT"):
         rows = tuple(
             inner[r - 1] + (1,) * (b[r - 1] - a[r - 1])
             for r in range(1, len(b) + 1)
@@ -386,9 +385,8 @@ def s_attacks(S, rows, b):
     return out
 
 
-def in_gset(S, rows, b, n=None):
+def in_gset(S, rows, b):
     b = tuple(b)
-    n = len(b) if n is None else n
     S = frozenset(S)
     if shape_of(rows) != b:
         return False
@@ -398,10 +396,10 @@ def in_gset(S, rows, b, n=None):
     if any(rows[r - 1][c - 1] != 1 for c, r in S):
         return False
     inner = tuple(rows[r - 1][: a[r - 1]] for r in range(1, len(b) + 1))
-    return is_member(inner, "SSKT", n)
+    return is_member(inner, "SSKT", len(b))
 
 
-def iota(S, rows, b, n=None):
+def iota(S, rows, b):
     """The involution: flip the block B(y) of the distinguished attack in or
     out of the snake.  x is the rightmost then topmost first cell of an
     attack, y the rightmost then lowest partner of x, and B(y) is y together
@@ -411,11 +409,10 @@ def iota(S, rows, b, n=None):
     it, but not an SSKT outright, and the first part of b is positive.
     """
     b = tuple(b)
-    n = len(b) if n is None else n
     if not b or b[0] == 0:
         raise ValueError("first part of the shape must be positive")
     S = frozenset(S)
-    if not is_special_snake(S, b) or not in_gset(S, rows, b, n):
+    if not is_special_snake(S, b) or not in_gset(S, rows, b):
         raise ValueError("pair is outside the domain of the involution")
     attacks = s_attacks(S, rows, b)
     if not attacks:

@@ -315,16 +315,16 @@ def suite_involution(report, n, deg):
             continue
         terms = []
         for S, _shape in special_snakes(b):
-            for rows in gset_enumerate(S, b, k):
+            for rows in gset_enumerate(S, b):
                 terms.append((weight_of(rows, k), snake_sign(S)))
                 if is_member(rows, "SSKT", k):
                     continue
-                S2, rows2 = iota(S, rows, b, k)
+                S2, rows2 = iota(S, rows, b)
                 report.equal(rows, rows2, b=b, kind="filling preserved")
                 report.equal(-snake_sign(S), snake_sign(S2), b=b, kind="sign reversed")
-                report.check(in_gset(S2, rows, b, k), b=b, kind="stays in domain",
+                report.check(in_gset(S2, rows, b), b=b, kind="stays in domain",
                              got=(S2, rows))
-                S3, _ = iota(S2, rows, b, k)
+                S3, _ = iota(S2, rows, b)
                 report.equal(S, S3, b=b, kind="involution")
                 report.equal(sorted(s_attacks(S, rows, b)), sorted(s_attacks(S2, rows, b)),
                              b=b, kind="attack set invariant")
@@ -456,13 +456,13 @@ def suite_regressions(report, n, deg):
                  name="cancelling pair", expected="same weight, opposite signs", got=got)
 
     # snake-decorated fillings and the involution
-    report.equal(True, in_gset(ref.ALMOST_SNAKE, ref.ALMOST_SSKT, ref.SHAPE_B, 7),
+    report.equal(True, in_gset(ref.ALMOST_SNAKE, ref.ALMOST_SSKT, ref.SHAPE_B),
                  name="pinned decorated filling")
     atts = s_attacks(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B)
     report.equal(ref.INVOLUTION_X, max((x for x, _ in atts), default=None),
                  name="pinned attack and its first cell")
-    S2, _ = iota(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B, 7)
-    S3, _ = iota(ref.INVOLUTION_LARGE, ref.INVOLUTION_T, ref.SHAPE_B, 7)
+    S2, _ = iota(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B)
+    S3, _ = iota(ref.INVOLUTION_LARGE, ref.INVOLUTION_T, ref.SHAPE_B)
     report.equal((sorted(ref.INVOLUTION_LARGE), sorted(ref.INVOLUTION_SMALL)),
                  (sorted(S2), sorted(S3)), name="pinned involution pair")
 
@@ -481,7 +481,7 @@ def suite_regressions(report, n, deg):
     for b, S in [((2, 1), frozenset({(1, 1), (2, 1)})),
                  ((2, 1), frozenset({(1, 1), (2, 1), (1, 2)}))]:
         gen = Poly.from_terms((weight_of(rows, len(b)), 1)
-                              for rows in gset_enumerate(S, b, len(b)))
+                              for rows in gset_enumerate(S, b))
         rest = pad(complement_shape(S, b), len(b))
         report.equal(Poly.variable(1) ** len(S) * key_polynomial(rest, len(b)), gen,
                      name=f"decorated generating function {b} {sorted(S)}")

@@ -11,7 +11,8 @@ from flaghom.bases import (BasisExpansion, _bruhat_ideal, demazure_atom,
                            key_polynomial, kostka, ktilde, ktilde_upper,
                            schur_ssyt)
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
-from flaghom.kohnert import build_Da
+from flaghom.fillings import key_diagram
+from flaghom.kohnert import build_Da, kohnert_polynomial
 from flaghom.polynomials import Poly, divided_difference
 from flaghom.schubert import h_schubert_expansion
 from flaghom.snakes import expand_key_into_h
@@ -69,6 +70,16 @@ def test_atom_examples():
     assert demazure_atom((1, 0), 2) == X1
     assert demazure_atom((0, 1), 2) == X2
     assert key_polynomial((0, 1), 2) == demazure_atom((0, 1), 2) + demazure_atom((1, 0), 2)
+
+
+def test_zeros_past_the_window_are_dropped():
+    # each once raised "composition (1, 0) longer than ambient 1"
+    assert key_polynomial((1, 0), 1) == X1
+    assert demazure_atom((1, 0), 1) == X1
+    assert rev((1, 0), 1) == (1,)
+    for fn in (key_polynomial, demazure_atom, rev):
+        with pytest.raises(ValueError):
+            fn((0, 1), 1)
 
 
 def test_atoms_are_monomial_nonnegative():
@@ -229,3 +240,11 @@ def test_key_polynomial_matches_operator_recursion():
 def test_demazure_atom_matches_operator_recursion():
     for a in SMALL_COMPOSITIONS:
         assert demazure_atom(a, len(a)) == _demazure_by_operators(a, True), a
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple))
+def test_key_polynomial_is_the_kohnert_polynomial_of_the_key_diagram(a):
+    # A. Kohnert, "Weintrauben, Polynome, Tableaux" (1991): an oracle that
+    # shares no code with the filling backtracker
+    assert kohnert_polynomial(key_diagram(a)) == key_polynomial(a, len(a))

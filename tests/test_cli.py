@@ -60,6 +60,14 @@ def test_expand_monomial_to_h_json(capsys):
                               {"index": [2, 0], "coef": -1}]}
 
 
+@pytest.mark.parametrize("pair", sorted(cli.EXPANSIONS), ids="-".join)
+def test_expand_drops_zeros_past_the_window(capsys, pair):
+    # key -> monomial once exited 2 on 1,0: "composition (1, 0) longer than ambient 1"
+    code, out = run(capsys, "expand", *pair, "1,0")
+    assert (code, out) == run(capsys, "expand", *pair, "1,0", "--n", "2")
+    assert code == 0
+
+
 def test_rsk_flagged_json_matches_reference(capsys):
     biword = ",".join(map(str, ref.BIWORD_TOP)) + ";" + ",".join(map(str, ref.BIWORD_BOTTOM))
     code, out = run(capsys, "rsk", "--biword", biword, "--flagged", "--json", "--n", "7")

@@ -7,7 +7,8 @@ The package ``__init__`` is exempt, since its imports are re-exports.
 
 The benchmark in ``perfbench/`` wraps library functions by name and runs
 library queries; the last tests read it, without changing it, so that a
-renamed or deleted library name cannot silently break a benchmark run.
+renamed or deleted library name, or a changed output, cannot silently
+break a benchmark run.
 """
 
 import ast
@@ -20,6 +21,7 @@ import pytest
 
 import flaghom
 from flaghom import schubert
+from flaghom.cli import main
 
 PACKAGE = Path(flaghom.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -136,3 +138,17 @@ def test_perfbench_queries_match_expected_digests(perfbench):
     assert {q["kind"] for q in pool} == set(child.query_kinds())
     digests = [digest for _, digest in child.run_stream([[q["kind"], q["input"]] for q in pool])]
     assert digests == [q["sha256"] for q in pool]
+
+
+def test_perfbench_readme_commands_match_expected_digests(perfbench, capsysbinary):
+    # the README outputs that perfbench pins, checked in process so that an
+    # output change shows in the tests rather than in a full bench run
+    workloads = importlib.import_module("workloads")
+    expected = workloads.load_expected()["readme"]
+    for _, args in workloads.README:
+        code = main(args)
+        stdout = capsysbinary.readouterr().out
+        want = expected[" ".join(args)]
+        digest = workloads.sha(workloads.normalize(stdout))
+        got = (code, digest, workloads.outcome_size(args, stdout))
+        assert got == (want["exit"], want["sha256"], want["size"]), args
