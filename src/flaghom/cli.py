@@ -21,13 +21,18 @@ from .polynomials import Poly, express_in_basis, poly_to_json, sorted_terms
 from .render import render_diagram, render_filling, render_matrix, render_tabloid
 from .schubert import h_schubert_expansion
 from .snakes import (enumerate_special_snake_tabloids, expand_key_into_h,
-                     tabloid_json_values)
+                     tabloid_json_texts)
 from .verify import SUITES, run_suite
 
 
 def parse_comp(text, n=None):
-    text = text.strip()
-    return as_comp((int(x) for x in text.split(",")) if text else (), n)
+    text, parts = text.strip(), []
+    for k, part in enumerate(text.split(",") if text else (), start=1):
+        try:
+            parts.append(int(part))
+        except ValueError:
+            raise ValueError(f"part {k} of {text!r} is not an integer: {part!r}") from None
+    return as_comp(parts, n)
 
 
 def parse_matrix(text):
@@ -166,11 +171,10 @@ def cmd_snakes(args):
     b = parse_comp(args.shape)
     tabloids = enumerate_special_snake_tabloids(b)
     if args.json:
-        # json.dumps of the list, written one tabloid at a time
-        encode = json.JSONEncoder(sort_keys=True).encode
-        sys.stdout.write("[")
-        for k, value in enumerate(tabloid_json_values(tabloids)):
-            sys.stdout.write((", " if k else "") + encode(value))
+        # json.dumps(..., sort_keys=True) of the list, one tabloid at a time
+        texts = tabloid_json_texts(tabloids)
+        sys.stdout.write("[" + next(texts, ""))
+        sys.stdout.writelines(", " + text for text in texts)
         sys.stdout.write("]\n")
     else:
         for t in tabloids:

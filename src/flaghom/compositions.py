@@ -7,7 +7,7 @@ length (reversal, diagram building) take the declared length from the tuple
 itself or from an explicit ``n``.
 """
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 
 def as_comp(a, n=None):
@@ -95,12 +95,7 @@ def dominance_key(a, n):
     lexicographically by the composition itself.
     """
     a = pad(strip(a), n)
-    prefix = []
-    s = 0
-    for x in a:
-        s += x
-        prefix.append(s)
-    return (s, tuple(prefix), a)
+    return (sum(a), tuple(accumulate(a)), a)
 
 
 def key_poset_leq(a, b):

@@ -16,12 +16,15 @@ from .polynomials import Poly
 
 
 def diagram(cells):
-    """The cells as a frozenset of (column, row) pairs of positive integers."""
-    cells = frozenset(map(tuple, cells))
-    for cell in cells:
+    """The cells as a frozenset of distinct (column, row) pairs of positive integers."""
+    D = set()
+    for cell in map(tuple, cells):
         if len(cell) != 2 or not all(type(x) is int and x >= 1 for x in cell):
             raise ValueError(f"cell {list(cell)} is not a (column, row) pair of positive integers")
-    return cells
+        if cell in D:
+            raise ValueError(f"cell {list(cell)} is listed twice")
+        D.add(cell)
+    return frozenset(D)
 
 
 def diagram_weight(D, n=None):

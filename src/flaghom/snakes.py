@@ -3,8 +3,10 @@ flagged Kostka matrix, and the sign-reversing involution that proves the
 expansion.  The rim hook analogues on partition shapes live here too, as an
 independent cross-check."""
 
+import json
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .bases import BasisExpansion
 from .compositions import as_comp, key_poset_leq, pad, strip
@@ -74,10 +76,7 @@ def complement_shape(S, b):
     a = [0] * len(b)
     for c, r in rest:
         a[r - 1] += 1
-    for r, part in enumerate(a, start=1):
-        if any((c, r) not in rest for c in range(1, part + 1)):
-            return None
-    return tuple(a)
+    return tuple(a) if key_diagram(a) == rest else None
 
 
 def is_snake(S, b):
@@ -105,13 +104,9 @@ def is_special_snake(S, b):
     return anchor in S and is_snake(S, b)
 
 
-def snake_height(S):
-    """Number of distinct rows met (1 for the empty snake)."""
-    return len({r for _, r in S}) if S else 1
-
-
 def snake_sign(S):
-    return (-1) ** (snake_height(S) - 1)
+    """(-1)^(h - 1), h the number of distinct rows met (1 for the empty snake)."""
+    return (-1) ** (len({r for _, r in S}) - 1) if S else 1
 
 
 def _special_pieces(d, predicate):
@@ -132,24 +127,29 @@ def _special_pieces(d, predicate):
 
 def _snake_predicate(e, d):
     """Snake test on the piece D(d) - D(e), read off its row segments
-    (e_r, d_r].  Rows r < s hold a triple (c, s), (c+1, s), (c+1, r) iff
-    max(e_s + 2, e_r + 1) <= min(d_s, d_r), and touch (a shared column, or
-    a cell of row s left of a cell of row r) iff
-    max(e_r, e_s) < min(d_r, d_s + 1)."""
+    (e_r, d_r]: e below d in the key poset, no two rows r < s holding a
+    triple (c, s), (c+1, s), (c+1, r), which happens iff
+    max(e_s + 2, e_r + 1) <= min(d_s, d_r), and _rows_connected.  The
+    oracle of _snake_pieces."""
     if not key_poset_leq(e, d):
         return False
     rows = [r for r in range(len(d)) if e[r] < d[r]]
-    touching = {r: [] for r in rows}
-    for k, r in enumerate(rows):
-        for s in rows[k + 1:]:
-            if max(e[s] + 2, e[r] + 1) <= min(d[s], d[r]):
-                return False
-            if max(e[r], e[s]) < min(d[r], d[s] + 1):
-                touching[r].append(s)
-                touching[s].append(r)
-    group = {rows[0]}
-    for _ in rows:
-        group |= {s for r in group for s in touching[r]}
+    return _rows_connected(e, d, rows) and not any(
+        max(e[s] + 2, e[r] + 1) <= min(d[s], d[r])
+        for k, r in enumerate(rows) for s in rows[k + 1:])
+
+
+def _rows_connected(e, d, rows):
+    """Whether the nonempty rows of D(d) - D(e), listed in rows, are weakly
+    connected: rows r < s touch (a shared column, or a cell of row s left of
+    a cell of row r) iff max(e_r, e_s) < min(d_r, d_s + 1)."""
+    group, todo = {rows[0]}, [rows[0]]
+    while todo:
+        r = todo.pop()
+        for s in rows:
+            if s not in group and max(e[r], e[s]) < min(d[min(r, s)], d[max(r, s)] + 1):
+                group.add(s)
+                todo.append(s)
     return len(group) == len(rows)
 
 
@@ -159,11 +159,11 @@ _piece_cache = {}
 
 def _snake_pieces(d):
     """_special_pieces(d, _snake_predicate) as a tuple, generated instead of
-    filtered, and kept in a bounded cache.  e grows one row at a time, and
-    row s takes only values that pass the pairwise tests of _snake_predicate
-    against every row r above it, which bound e_s from below: no descent
-    e_r > e_s unless d_r > d_s, and no triple, max(e_s + 2, e_r + 1) <=
-    min(d_s, d_r).  _snake_predicate stays the final test."""
+    filtered, and kept in a bounded cache.  e grows one row at a time, below
+    top, so e <= d and the anchor row is 0.  Row s is bounded from below by
+    every row r < s: no descent e_r > e_s unless d_r > d_s (with e <= d,
+    key_poset_leq(e, d)), and no triple, max(e_s + 2, e_r + 1) <= min(d_s,
+    d_r).  So the leaf tests only _rows_connected."""
     d = tuple(d)
     if d in _piece_cache:
         return _piece_cache[d]
@@ -175,8 +175,8 @@ def _snake_pieces(d):
 
         def grow(s):
             if s == len(d):
-                f = tuple(e)
-                if _snake_predicate(f, d):
+                if _rows_connected(e, d, [r for r in range(s) if e[r] < d[r]]):
+                    f = tuple(e)
                     pieces.append((host - key_diagram(f), f))
                 return
             lo = 0
@@ -215,30 +215,28 @@ class SnakeTabloid:
         return tuple(len(S) for S in self.snakes)
 
     def sign(self):
-        out = 1
-        for S in self.snakes:
-            out *= snake_sign(S)
-        return out
+        return prod(map(snake_sign, self.snakes))
 
 
-def tabloid_json_values(tabloids):
-    """The JSON value of each tabloid in turn (shape, snakes as sorted cell
-    lists, weight, sign), working out each distinct snake's sorted cells and
-    sign once.  Values of one call share those cell lists, so a caller that
-    keeps them must not change them."""
-    memo = {}
+def tabloid_json_texts(tabloids):
+    """Each tabloid's json.dumps(value, sort_keys=True), the value holding
+    its shape, snakes as sorted cell lists, weight and sign.  The texts are
+    put together from each distinct snake's cell text, sign and size, and
+    each distinct shape's text, all worked out once per call."""
+    memo, shapes = {}, {}
     for t in tabloids:
-        sign = 1
+        if t.shape not in shapes:
+            shapes[t.shape] = json.dumps(list(t.shape))
+        cells, sizes, sign = [], [], 1
         for S in t.snakes:
             if S not in memo:
-                memo[S] = sorted(map(list, S)), snake_sign(S)
-            sign *= memo[S][1]
-        yield {
-            "shape": list(t.shape),
-            "snakes": [memo[S][0] for S in t.snakes],
-            "weight": list(t.weight()),
-            "sign": sign,
-        }
+                memo[S] = json.dumps(sorted(map(list, S))), snake_sign(S), str(len(S))
+            text, s, size = memo[S]
+            cells.append(text)
+            sizes.append(size)
+            sign *= s
+        yield (f'{{"shape": {shapes[t.shape]}, "sign": {sign}, '
+               f'"snakes": [{", ".join(cells)}], "weight": [{", ".join(sizes)}]}}')
 
 
 def _tabloids(shape, pieces):

@@ -5,7 +5,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flaghom import cli
@@ -14,7 +14,7 @@ from flaghom.bases import BasisExpansion, ktilde_upper
 from flaghom.cli import build_parser, main, parse_comp
 from flaghom.compositions import compositions_of
 from flaghom.render import render_tabloid
-from flaghom.snakes import enumerate_special_snake_tabloids, tabloid_json_values
+from flaghom.snakes import enumerate_special_snake_tabloids, tabloid_json_texts
 from flaghom.verify import SUITES, VerifyReport
 
 
@@ -110,12 +110,33 @@ def test_snakes_command(capsys):
         ((1, 1), 1), ((2, 0), -1)]
 
 
+def direct_json(shape):
+    """json.dumps of the tabloid list, each value built from its tabloid."""
+    return json.dumps([
+        {"shape": list(t.shape), "snakes": [sorted(map(list, S)) for S in t.snakes],
+         "weight": list(t.weight()), "sign": t.sign()}
+        for t in enumerate_special_snake_tabloids(parse_comp(shape))], sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("shape", ["0", "1", "1,1", "2,0,3,1", "3,1,2"])
 def test_snakes_json_is_one_dump_of_the_list(capsys, shape):
     tabloids = enumerate_special_snake_tabloids(parse_comp(shape))
     code, out = run(capsys, "snakes", "--shape", shape, "--json")
     assert code == 0
-    assert out == json.dumps(list(tabloid_json_values(tabloids)), sort_keys=True) + "\n"
+    assert out == direct_json(shape)
+    assert out == "[" + ", ".join(tabloid_json_texts(tabloids)) + "]\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), max_size=6))
+@example([0, 0, 0]).via("all-zero rows")
+@example([3, 0, 2, 0, 1, 3]).via("six rows with zeros between")
+def test_snakes_json_matches_a_direct_dump(parts):
+    shape = ",".join(map(str, parts))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["snakes", "--shape", shape, "--json"]) == 0
+    assert out.getvalue() == direct_json(shape)
 
 
 def test_snakes_text(capsys):
@@ -263,6 +284,30 @@ def test_kohnert_diagram_names_the_bad_cell(capsys, cells, named):
     code, out, err = run_error(capsys, "kohnert", "--diagram", cells)
     assert (code, out) == (2, "")
     assert err == [f"error: cell {named} is not a (column, row) pair of positive integers"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kohnert", "--diagram", "1,1;1,1"),
+    ("kohnert", "--diagram", "2,1;1,1;2,1", "--json"),
+    ("render", "diagram", '{"cells": [[1, 1], [1, 1]]}'),
+])
+def test_diagram_cell_listed_twice_is_refused(capsys, argv):
+    # each once printed a diagram with the repeat dropped
+    code, out, err = run_error(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: cell [") and err[0].endswith("] is listed twice")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("snakes", "--shape", "1,,2"), "error: part 2 of '1,,2' is not an integer: ''"),
+    (("expand", "h", "key", "1,a"), "error: part 2 of '1,a' is not an integer: 'a'"),
+    (("kohnert", "--shape", "1.5"), "error: part 1 of '1.5' is not an integer: '1.5'"),
+    (("rsk", "--matrix", "0,0;x,0"), "error: part 1 of 'x,0' is not an integer: 'x'"),
+])
+def test_unreadable_part_is_named(capsys, argv, message):
+    # int() once spoke for itself: invalid literal for int() with base 10: ''
+    code, out, err = run_error(capsys, *argv)
+    assert (code, out, err) == (2, "", [message])
 
 
 # parts of a fuzzed argument: small integers, then what no part may be

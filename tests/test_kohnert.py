@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from flaghom import reference as ref
 from flaghom.bases import h_flagged
 from flaghom.compositions import compositions_of
-from flaghom.kohnert import (build_Da, diagram_weight, is_southwest,
+from flaghom.kohnert import (build_Da, diagram, diagram_weight, is_southwest,
                              kohnert_closure, kohnert_moves, kohnert_polynomial,
                              phi, phi_inverse)
 from flaghom.polynomials import Poly
@@ -127,6 +127,15 @@ def test_entry_points_reject_cells_off_the_grid():
         kohnert_closure({(1.5, 2.9)})
     with pytest.raises(ValueError):
         kohnert_closure({(True, True)})
+
+
+def test_diagram_rejects_a_cell_listed_twice():
+    # the repeat was once dropped, leaving a one-cell diagram
+    with pytest.raises(ValueError, match=r"cell \[1, 1\] is listed twice"):
+        diagram([(1, 1), (2, 1), [1, 1]])
+    with pytest.raises(ValueError, match="listed twice"):
+        kohnert_polynomial([(1, 2), (1, 2)])
+    assert diagram([[1, 1], (2, 1)]) == {(1, 1), (2, 1)}
 
 
 def closure_by_oracle(D):

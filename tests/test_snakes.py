@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -19,7 +20,7 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             enumerate_special_snake_tabloids, gset_enumerate,
                             in_gset, inverse_ktilde, iota, is_rim_hook,
                             is_snake, is_special_snake, s_attacks,
-                            snake_sign, special_snakes, tabloid_json_values,
+                            snake_sign, special_snakes, tabloid_json_texts,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
 
@@ -113,10 +114,12 @@ def test_special_snake_enumeration_matches_subset_filter():
 
 
 def test_generated_pieces_match_the_filtered_product_exhaustive_small():
-    shapes = [d for rows in range(6) for d in product(range(4), repeat=rows)]
+    # the generator's leaf tests only connectivity; the filter runs the whole
+    # _snake_predicate, so the two sides share no test of the bounds
+    shapes = [d for rows in range(7) for d in product(range(4), repeat=rows)]
     for d in shapes:
         assert _snake_pieces(d) == tuple(_special_pieces(d, _snake_predicate)), d
-    assert len(shapes) == 1365
+    assert len(shapes) == 5461
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -135,12 +138,20 @@ def test_piece_cache_stays_bounded(monkeypatch):
         assert 0 < len(snakes._piece_cache) <= 4
 
 
+def direct_json_values(tabloids):
+    return [{"shape": list(t.shape), "snakes": [sorted(map(list, S)) for S in t.snakes],
+             "weight": list(t.weight()), "sign": t.sign()} for t in tabloids]
+
+
 def test_tabloid_json_values_match_a_direct_build():
-    tabloids = enumerate_special_snake_tabloids((2, 0, 3, 1))
-    assert list(tabloid_json_values(tabloids)) == [
-        {"shape": list(t.shape), "snakes": [sorted(map(list, S)) for S in t.snakes],
-         "weight": list(t.weight()), "sign": t.sign()}
-        for t in tabloids]
+    for b in [(), (0,), (2, 0, 3, 1), (3, 1, 2), (1, 0, 2, 0)]:
+        tabloids = enumerate_special_snake_tabloids(b)
+        assert list(tabloid_json_texts(tabloids)) == [
+            json.dumps(value, sort_keys=True) for value in direct_json_values(tabloids)], b
+    # shapes of one call may differ; each tabloid keeps its own
+    mixed = enumerate_special_snake_tabloids((1, 1)) + enumerate_special_snake_tabloids((2,))
+    assert list(tabloid_json_texts(mixed)) == [
+        json.dumps(value, sort_keys=True) for value in direct_json_values(mixed)]
 
 
 def test_tabloids_of_two_cells():
