@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .compositions import (as_comp, compositions_of, dominance_key,
-                           partitions_of, rev, size, strip)
+                           partitions_of, rev, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import rho_inverse
 from .polynomials import Poly, sorted_terms
@@ -142,7 +142,7 @@ def _key_counts(b, n):
     b = as_comp(b, n)
     n = max(len(strip(b)), 1) if n is None else n
     counts = Counter()
-    for lam in partitions_of(size(b)):
+    for lam in partitions_of(sum(b)):
         if len(lam) <= n:
             for Q in enumerate_fillings(lam, n, "SSYT", weight=b):
                 counts[tuple(map(len, rho_inverse(Q, n)))] += 1

@@ -3,17 +3,18 @@
 Subcommands: expand, rsk, kohnert, snakes, verify, render.  Input formats:
 compositions are comma-separated integers, matrices semicolon-separated
 rows, biwords two comma-separated lines joined by a semicolon.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure or stdout closed early, 2 usage error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .bases import (BasisExpansion, expand_h_into_atoms, expand_h_into_keys,
                     h_basis_family, h_flagged, key_basis_family,
                     key_polynomial)
-from .compositions import as_comp, as_matrix, size, strip
+from .compositions import as_comp, as_matrix, strip
 from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
                    rsk, rsk_inverse)
 from .kohnert import build_Da, diagram, kohnert_polynomial
@@ -65,6 +66,11 @@ def rows_from_json(data):
     rows = data.get("rows") if isinstance(data, dict) else None
     if not is_int_rows(rows):
         raise ValueError('filling JSON needs a "rows" list of integer lists')
+    shape = [len(r) for r in rows]
+    if data.get("shape", shape) != shape:
+        raise ValueError(f'filling JSON "shape" {data["shape"]} differs from its row lengths {shape}')
+    if any(e < 1 for r in rows for e in r):
+        raise ValueError("filling JSON entries must be positive")
     return tuple(tuple(r) for r in rows)
 
 
@@ -75,9 +81,9 @@ EXPANSIONS = {
     ("h", "monomial"): lambda a, n: BasisExpansion("monomial", h_flagged(a, n).terms),
     ("key", "monomial"): lambda a, n: BasisExpansion("monomial", key_polynomial(a, n).terms),
     ("monomial", "h"): lambda a, n: BasisExpansion(
-        "h-flagged", express_in_basis(Poly.monomial(a), h_basis_family([size(a)], n))),
+        "h-flagged", express_in_basis(Poly.monomial(a), h_basis_family([sum(a)], n))),
     ("monomial", "key"): lambda a, n: BasisExpansion(
-        "key", express_in_basis(Poly.monomial(a), key_basis_family([size(a)], n))),
+        "key", express_in_basis(Poly.monomial(a), key_basis_family([sum(a)], n))),
 }
 
 
@@ -284,9 +290,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
+        sys.stdout.flush()
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if result is None else result
 
 

@@ -54,10 +54,6 @@ def pad(a, n):
     return a + (0,) * (n - len(a))
 
 
-def size(a):
-    return sum(a)
-
-
 def is_partition(a):
     a = tuple(a)
     return all(a[i] >= a[i + 1] for i in range(len(a) - 1))

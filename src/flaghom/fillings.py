@@ -133,29 +133,49 @@ def statistics(rows, n=None):
     return FillingStats(maj, comaj, coinv, inv, violations)
 
 
-def _check_young(rows, reverse):
-    """Row/column conditions for SSYT (reverse=False) and reverse SSYT."""
-    shape = shape_of(rows)
-    if not is_partition(shape):
-        raise ValueError(f"shape {shape} is not a partition")
-    for r, row in enumerate(rows):
-        for c, e in enumerate(row):
-            if c > 0:
-                ok = row[c - 1] >= e if reverse else row[c - 1] <= e
-                if not ok:
-                    return False
-            if r > 0:
-                below = rows[r - 1][c]
-                ok = below > e if reverse else below < e
-                if not ok:
-                    return False
+def _fits(grid, shape, flavor, c, s, e):
+    """Whether entry e may sit at cell (c, s) of the flavor.  Reads only the
+    cells of grid before it in reading order; grid is zero-padded, and a cell
+    past its row's end reads 0, below every entry.  SSKT follow the key
+    tableau rules of S. Assaf and D. Searles, rSSAF the attack cells and
+    inversion triples of S. Mason."""
+    if flavor == "SSYT":
+        if c > 1 and not grid[s - 1][c - 2] <= e:
+            return False
+        return s == 1 or grid[s - 2][c - 1] < e
+    if flavor == "rSSYT":
+        if c > 1 and not grid[s - 1][c - 2] >= e:
+            return False
+        return s == 1 or grid[s - 2][c - 1] > e
+    left = s if c == 1 else grid[s - 1][c - 2]  # the basement entry s heads row s
+    if flavor == "SSKT":
+        if e > left:
+            return False
+        # an entry k below e in its column differs from e, and k > e needs a
+        # right neighbor > e: rows decrease, so e may not lie in [neighbor, k]
+        for below in grid[:s - 1]:
+            if below[c] <= e <= below[c - 1]:
+                return False
+        return True
+    # rSSAF: once rows increase and entries differ, only the type A and B triples can occur
+    if e < left or c == 1 and e != s:
+        return False
+    for length, below in zip(shape, grid[:s - 1]):
+        k, right = below[c - 1], below[c]
+        if k == e or right == e:
+            return False
+        if length > shape[s - 1]:
+            if k < e < right:
+                return False
+        elif left < k < e:
+            return False
     return True
 
 
 def is_member(rows, flavor, n=None):
-    """Membership test for the four tableau families: entries in [n], where
-    for SSKT and rSSAF n is at least the row count and for SSYT and rSSYT
-    an unbounded n (None) only requires positive entries."""
+    """Membership in a tableau family, cell by cell by `_fits`.  Entries lie
+    in [n]; for SSKT and rSSAF n is at least the row count, and for SSYT and
+    rSSYT an unbounded n (None) only requires positive entries."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     rows = tuple(tuple(r) for r in rows)
@@ -163,13 +183,12 @@ def is_member(rows, flavor, n=None):
         n = max(len(rows), n or 0)
     if not all(type(e) is int and 1 <= e <= (e if n is None else n) for r in rows for e in r):
         return False
-    if flavor == "SSKT":
-        st = statistics(rows, n)
-        return st.attacking_violations == 0 and st.maj == 0 and st.coinv == 0
-    if flavor == "rSSAF":
-        st = statistics(rows, n)
-        return st.attacking_violations == 0 and st.comaj == 0 and st.inv == 0
-    return _check_young(rows, reverse=flavor == "rSSYT")
+    shape = shape_of(rows)
+    if flavor in ("SSYT", "rSSYT") and not is_partition(shape):
+        raise ValueError(f"shape {shape} is not a partition")
+    grid = [row + (0,) * (max(shape, default=0) + 1 - len(row)) for row in rows]
+    return all(_fits(grid, shape, flavor, c, s, e)
+               for s, row in enumerate(rows, start=1) for c, e in enumerate(row, start=1))
 
 
 def enumerate_fillings(shape, n, flavor, weight=None):
@@ -177,9 +196,8 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     optionally restricted to a fixed weight.
 
     Output is deterministic: lexicographic in the entry sequence read row 1
-    upward, left to right.  Backtracks cell by cell under a budget of the
-    entries of each value still to place.  SSKT are tested by the key tableau
-    rules of S. Assaf and D. Searles, equivalent to `is_member`'s statistics.
+    upward, left to right.  Backtracks cell by cell, by `_fits`, under a
+    budget of the entries of each value still to place.
     """
     shape = as_comp(shape, n)
     if flavor not in FLAVORS:
@@ -194,43 +212,9 @@ def enumerate_fillings(shape, n, flavor, weight=None):
         budget = list(pad(weight, n))
 
     cells = [(c, r) for r in range(1, len(shape) + 1) for c in range(1, shape[r - 1] + 1)]
-    # a cell past the end of its row reads 0, below every entry, so the tests
-    # need no row lengths; they read only placed cells, so no value is cleared
+    # `_fits` reads only placed cells, so no value is cleared on the way back
     partial = [[0] * (max(shape, default=0) + 1) for _ in shape]
     results = []
-
-    def feasible(c, s, e):
-        if flavor == "SSYT":
-            if c > 1 and not partial[s - 1][c - 2] <= e:
-                return False
-            return s == 1 or partial[s - 2][c - 1] < e
-        if flavor == "rSSYT":
-            if c > 1 and not partial[s - 1][c - 2] >= e:
-                return False
-            return s == 1 or partial[s - 2][c - 1] > e
-        left = s if c == 1 else partial[s - 1][c - 2]  # the basement entry s heads row s
-        if flavor == "SSKT":
-            if e > left:
-                return False
-            # an entry k below e in its column differs from e, and k > e needs a
-            # right neighbor > e: rows decrease, so e may not lie in [neighbor, k]
-            for below in partial[:s - 1]:
-                if below[c] <= e <= below[c - 1]:
-                    return False
-            return True
-        # rSSAF: once rows increase and entries differ, only the type A and B triples can occur
-        if e < left or c == 1 and e != s:
-            return False
-        for length, below in zip(shape, partial[:s - 1]):
-            k, right = below[c - 1], below[c]
-            if k == e or right == e:
-                return False
-            if length > shape[s - 1]:
-                if k < e < right:
-                    return False
-            elif left < k < e:
-                return False
-        return True
 
     def backtrack(idx):
         if idx == len(cells):
@@ -238,7 +222,7 @@ def enumerate_fillings(shape, n, flavor, weight=None):
             return
         c, s = cells[idx]
         for e in range(1, n + 1):
-            if budget[e - 1] and feasible(c, s, e):
+            if budget[e - 1] and _fits(partial, shape, flavor, c, s, e):
                 partial[s - 1][c - 1] = e
                 budget[e - 1] -= 1
                 backtrack(idx + 1)
@@ -248,18 +232,26 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     return results
 
 
+def is_member_by_definition(rows, flavor, n):
+    """Membership of a filling with entries in [n], read off the definitions:
+    `statistics` for SSKT and rSSAF, rows and columns for SSYT and rSSYT."""
+    if flavor in ("SSKT", "rSSAF"):
+        st = statistics(rows, n)
+        descents = (st.maj, st.coinv) if flavor == "SSKT" else (st.comaj, st.inv)
+        return st.attacking_violations == 0 and descents == (0, 0)
+    sign = -1 if flavor == "rSSYT" else 1  # rSSYT: SSYT conditions on negated entries
+    return (all(sign * x <= sign * y for row in rows for x, y in zip(row, row[1:]))
+            and all(sign * x < sign * y
+                    for lower, upper in zip(rows, rows[1:]) for x, y in zip(lower, upper)))
+
+
 def enumerate_fillings_naive(shape, n, flavor, weight=None):
     """Filter every one of the n^|shape| entry maps; test oracle."""
-    shape = tuple(shape)
-    cells = [(c, r) for r in range(1, len(shape) + 1) for c in range(1, shape[r - 1] + 1)]
     out = []
-    for values in product(range(1, n + 1), repeat=len(cells)):
-        rows = [[0] * shape[r - 1] for r in range(1, len(shape) + 1)]
-        for (c, r), e in zip(cells, values):
-            rows[r - 1][c - 1] = e
-        rows = tuple(tuple(r) for r in rows)
-        if weight is not None and weight_of(rows, n) != pad(strip(weight), n):
-            continue
-        if is_member(rows, flavor, n):
-            out.append(rows)
+    for values in product(range(1, n + 1), repeat=sum(shape)):
+        entries = iter(values)  # in reading order: row 1 upward, left to right
+        rows = tuple(tuple(next(entries) for _ in range(part)) for part in shape)
+        if weight is None or weight_of(rows, n) == pad(strip(weight), n):
+            if is_member_by_definition(rows, flavor, n):
+                out.append(rows)
     return out

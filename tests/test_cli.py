@@ -2,7 +2,11 @@ import argparse
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +91,14 @@ def test_rsk_inverse_roundtrip(capsys):
     code, out = run(capsys, "rsk", "--inverse", "--flagged", "--pair", pair, "--json")
     assert code == 0
     assert json.loads(out) == [[0, 0], [1, 0]]
+
+
+def test_rsk_json_pair_feeds_back_through_the_inverse(capsys):
+    # the pair carries a "shape" per tableau, which the inverse checks
+    code, pair = run(capsys, "rsk", "--matrix", "1,0,2;0,1,0;1,1,0", "--json")
+    assert code == 0
+    code, out = run(capsys, "rsk", "--inverse", "--pair", pair, "--json")
+    assert (code, json.loads(out)) == (0, [[1, 0, 2], [0, 1, 0], [1, 1, 0]])
 
 
 def test_kohnert_command(capsys):
@@ -263,6 +275,9 @@ def run_error(capsys, *argv):
      '{"S": {"rows": [[1]]}, "T": {"rows": [[1]]}}'),
     ("render", "matrix", "[[1]]", "--n", "3"),
     ("kohnert", "--diagram", "1,1", "--n", "9"),
+    ("render", "filling", '{"shape": [2], "rows": [[1]]}'),  # each once drew what it had
+    ("render", "filling", '{"rows": [[0]]}'),
+    ("rsk", "--inverse", "--pair", '{"P": {"shape": [1, 1], "rows": [[2, 1]]}, "Q": {"rows": [[1, 2]]}}'),
 ])
 def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     code, out, err = run_error(capsys, *argv)
@@ -270,6 +285,23 @@ def test_rejects_negative_parts_and_ragged_matrices(capsys, argv):
     assert out == ""
     assert len(err) == 1 and err[0].startswith("error: ")
     assert err[0] not in ("error: 'S'", "error: 'cells'")  # a bare KeyError names nothing
+
+
+@pytest.mark.parametrize("argv, keep, head", [
+    (("verify", "all"), 0, b""),
+    (("snakes", "--shape", "3,7,0,2,5,8,6", "--json"), 20, b'[{"shape": [3, 7, 0,'),
+])
+def test_a_closed_stdout_ends_quietly(argv, keep, head):
+    # the reader takes `keep` bytes, then closes stdout; each once ended in a
+    # BrokenPipeError traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "flaghom", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(keep) == head
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_render_filling_names_missing_rows(capsys):

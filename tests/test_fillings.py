@@ -1,10 +1,31 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaghom import reference as ref
-from flaghom.compositions import compositions_of
-from flaghom.fillings import (attacking, enumerate_fillings,
+from flaghom.compositions import compositions_of, partitions_of
+from flaghom.fillings import (FLAVORS, attacking, enumerate_fillings,
                               enumerate_fillings_naive, is_member,
-                              key_diagram, leg, statistics, weight_of)
+                              is_member_by_definition, key_diagram, leg,
+                              statistics, weight_of)
+
+
+def naive_range():
+    """(shape, window) pairs small enough for the naive filter; windows past
+    the shape add basement rows above it."""
+    shapes = [a for k in (1, 2, 3, 4) for d in range(5 if k < 4 else 4)
+              for a in compositions_of(d, k)]
+    return [(shape, n) for shape in shapes
+            for n in sorted({max(len(shape), 2), len(shape) + 1, len(shape) + 2})]
+
+
+def entry_maps(shape, n):
+    """Every filling of the shape with entries in [n]."""
+    for values in product(range(1, n + 1), repeat=sum(shape)):
+        entries = iter(values)
+        yield tuple(tuple(next(entries) for _ in range(part)) for part in shape)
 
 
 def test_key_diagram():
@@ -79,15 +100,12 @@ def test_enumerate_examples():
 def test_enumerate_matches_naive_filter():
     # windows past the shape add basement rows above it, which the statistics
     # of the naive filter see and the key tableau rules never read
-    shapes = [a for k in (1, 2, 3, 4) for d in range(5 if k < 4 else 4)
-              for a in compositions_of(d, k)]
-    for shape in shapes:
-        for n in sorted({max(len(shape), 2), len(shape) + 1, len(shape) + 2}):
-            for flavor in ("SSKT", "rSSAF"):
-                fast = enumerate_fillings(shape, n, flavor)
-                slow = enumerate_fillings_naive(shape, n, flavor)
-                assert sorted(fast) == sorted(slow), (shape, n, flavor)
-                assert fast == sorted(fast)
+    for shape, n in naive_range():
+        for flavor in ("SSKT", "rSSAF"):
+            fast = enumerate_fillings(shape, n, flavor)
+            slow = enumerate_fillings_naive(shape, n, flavor)
+            assert sorted(fast) == sorted(slow), (shape, n, flavor)
+            assert fast == sorted(fast)
     # a five-cell shape, and partition shapes for the Young families
     assert sorted(enumerate_fillings((2, 3), 3, "rSSAF")) == sorted(
         enumerate_fillings_naive((2, 3), 3, "rSSAF"))
@@ -95,6 +113,48 @@ def test_enumerate_matches_naive_filter():
         for flavor in ("SSYT", "rSSYT"):
             assert sorted(enumerate_fillings(lam, 3, flavor)) == sorted(
                 enumerate_fillings_naive(lam, 3, flavor)), (lam, flavor)
+
+
+def test_is_member_agrees_with_the_statistics_on_every_entry_map():
+    # the cell rules against the statistics, members and non-members alike
+    pairs = 0
+    for shape, n in naive_range():
+        for rows in entry_maps(shape, n):
+            for flavor in ("SSKT", "rSSAF"):
+                want = is_member_by_definition(rows, flavor, n)
+                assert is_member(rows, flavor, n) is want, (rows, flavor, n)
+                pairs += 1
+    assert pairs == 56566
+
+
+def test_is_member_agrees_with_rows_and_columns_on_every_entry_map():
+    for d in range(6):
+        for lam in partitions_of(d):
+            for n in (3, 4):
+                for rows in entry_maps(lam, n):
+                    for flavor in ("SSYT", "rSSYT"):
+                        want = is_member_by_definition(rows, flavor, n)
+                        assert is_member(rows, flavor, n) is want, (rows, flavor, n)
+                        assert is_member(rows, flavor) is want, (rows, flavor)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.sampled_from(FLAVORS),
+       st.integers(0, 2), st.data())
+def test_is_member_agrees_with_the_definitions_next_to_a_member(parts, flavor, extra, data):
+    # every change of one entry of a member: near misses, where a rule that
+    # reads one cell too few or too many would show; the rSSAF type B triple
+    # first fails with entries two above the row count
+    shape = tuple(sorted(parts, reverse=True)) if flavor in ("SSYT", "rSSYT") else tuple(parts)
+    n = len(shape) + extra
+    member = data.draw(st.sampled_from(enumerate_fillings(shape, n, flavor)))
+    assert is_member(member, flavor, n)
+    for s, part in enumerate(shape, 1):
+        for c in range(1, part + 1):
+            for e in range(1, n + 1):
+                rows = [list(r) for r in member]
+                rows[s - 1][c - 1] = e
+                assert is_member(rows, flavor, n) is is_member_by_definition(rows, flavor, n), rows
 
 
 def test_enumerate_drops_zeros_past_the_window():
