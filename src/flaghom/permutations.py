@@ -21,7 +21,7 @@ def check_perm(w):
     """w in canonical form, once it is checked to be a permutation of
     1..len(w)."""
     w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    if not set(map(type, w)) <= {int} or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
     return strip_fixed(w)
 
@@ -50,18 +50,18 @@ def apply_transposition(w, i, j):
     return strip_fixed(word)
 
 
-def covers(u, k, hi):
-    """Yield (j, u t_{i,j}) for each k-Bruhat cover of u with i <= k < j <= hi:
-    u(i) < u(j) and no i < m < j has u(i) < u(m) < u(j) (Bergeron-Sottile).
-    The scan right of each i keeps the least value above u(i) seen so far."""
-    w = pad_perm(u, max(hi, k))
-    for i in range(1, k + 1):
+def covers(w, k):
+    """Yield (j, w t_{i,j}), unstripped, for each k-Bruhat cover of the padded
+    word w with i <= k < j <= len(w): w(i) < w(j) and no i < m < j has
+    w(i) < w(m) < w(j) (Bergeron-Sottile).  The scan right of each i keeps
+    the least value above w(i) seen so far."""
+    for i in range(k):
         ceiling = len(w) + 1
-        for j in range(i + 1, hi + 1):
-            if w[i - 1] < w[j - 1] < ceiling:
-                ceiling = w[j - 1]
-                if j > k:
-                    yield j, apply_transposition(u, i, j)
+        for j in range(i + 1, len(w)):
+            if w[i] < w[j] < ceiling:
+                ceiling = w[j]
+                if j >= k:
+                    yield j + 1, w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
 
 
 def k_bruhat_covers(u, k):
@@ -70,10 +70,10 @@ def k_bruhat_covers(u, k):
     The window for j reaches one past the support of u: no cover can move a
     later fixed point.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     u = check_perm(u)
-    return {w for _, w in covers(u, k, max(len(u), k) + 1)}
+    return {strip_fixed(w) for _, w in covers(pad_perm(u, max(len(u), k) + 1), k)}
 
 
 def grassmannian_perm(lam, k):

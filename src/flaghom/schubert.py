@@ -3,28 +3,39 @@ homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
 from .compositions import as_comp
-from .permutations import check_perm, covers, strip_fixed
+from .permutations import check_perm, covers, pad_perm, strip_fixed
 from .polynomials import Poly, divided_difference
+
+# Strip targets by (u, k, m) and oracle polynomials by permutation; each is
+# cleared at its limit, so it stays bounded in a long-lived process.
+_STRIP_CACHE_LIMIT = 4096
+_strip_cache = {}
+_ORACLE_CACHE_LIMIT = 4096
+_oracle_cache = {}
 
 
 def horizontal_strip_targets(u, k, m):
-    """All w reachable from u by a saturated k-Bruhat chain of length m whose
-    transpositions t_{i,j} use pairwise distinct j.  m = 0 gives {u}."""
-    if m < 0:
-        raise ValueError(f"negative strip size {m}")
-    u = strip_fixed(u)
-    out = set()
+    """The frozenset of all w reached from u by a saturated k-Bruhat chain of
+    length m whose transpositions t_{i,j} use pairwise distinct j; {u} if m = 0.
 
-    def extend(w, used, steps):
-        if steps == m:
-            out.add(w)
-            return
-        for j, w2 in covers(w, k, max(len(w), k) + 1):
-            if j not in used:
-                extend(w2, used | {j}, steps + 1)
-
-    extend(u, frozenset(), 0)
-    return out
+    A position j > k moves only as the j of a step, so the j's a chain has
+    used are where w differs from u, and one set of words per step is the
+    whole state.  Padding to max(len(u), k) + m covers every step."""
+    if type(k) is not int or type(m) is not int or k < 1 or m < 0:
+        raise ValueError(f"need integers k >= 1 and m >= 0, got k={k!r}, m={m!r}")
+    u = tuple(u)
+    key = (strip_fixed(u), k, m)
+    # a word that is not a permutation has no valid key, but 2.0 == 2 and
+    # True == 1, so a word of other types can equal one: check it as a miss
+    if not set(map(type, u)) <= {int} or key not in _strip_cache:
+        u = pad_perm(check_perm(u), max(len(key[0]), k) + m)
+        frontier = {u}
+        for _ in range(m):
+            frontier = {w2 for w in frontier for j, w2 in covers(w, k) if w[j - 1] == u[j - 1]}
+        if len(_strip_cache) >= _STRIP_CACHE_LIMIT:
+            _strip_cache.clear()
+        _strip_cache[key] = frozenset(map(strip_fixed, frontier))
+    return _strip_cache[key]
 
 
 def pieri_multiply(expansion, m, k):
@@ -37,26 +48,24 @@ def pieri_multiply(expansion, m, k):
     return {w: c for w, c in out.items() if c}
 
 
-def h_schubert_expansion(b):
-    """Schubert coefficients of the flagged homogeneous element of b: the
-    number of chains of horizontal (b_k)-strips in k-Bruhat order."""
-    return schubert_product_expansion(b, ())
-
-
-def schubert_product_expansion(a, b):
-    """Schubert expansion of the product of two flagged homogeneous
-    elements, via the one-row grassmannian factorization of each."""
-    expansion = {(): 1}
-    for comp in (as_comp(a), as_comp(b)):
-        for k, part in enumerate(comp, start=1):
+def pieri_chain(expansion, comp):
+    """Multiply a Schubert expansion by the flagged homogeneous element of
+    comp: one Pieri step of comp_k in k-Bruhat order for each comp_k > 0."""
+    for k, part in enumerate(as_comp(comp), start=1):
+        if part:
             expansion = pieri_multiply(expansion, part, k)
     return expansion
 
 
-# Divided-difference results by permutation; cleared whenever it reaches
-# the limit, so it stays bounded in a long-lived process.
-_ORACLE_CACHE_LIMIT = 4096
-_oracle_cache = {}
+def h_schubert_expansion(b):
+    """Schubert coefficients of the flagged homogeneous element of b: the
+    number of chains of horizontal (b_k)-strips in k-Bruhat order."""
+    return pieri_chain({(): 1}, b)
+
+
+def schubert_product_expansion(a, b):
+    """Schubert expansion of the product of two flagged homogeneous elements."""
+    return pieri_chain(pieri_chain({(): 1}, a), b)
 
 
 def _schubert_poly(w):

@@ -1,7 +1,7 @@
 """Source hygiene: every import of a library module sits at module level,
-every name it imports is used in it, and every top-level function and class
+every name it imports is used in it, every top-level function and class
 of a library module is referred to by name somewhere in the package or the
-tests, outside its own body.
+tests, outside its own body, and every module-level cache is bounded.
 
 The package ``__init__`` is exempt, since its imports are re-exports.
 
@@ -105,6 +105,39 @@ def used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, used_names):
     assert unreferenced_definitions(path.read_text(), used_names) == []
+
+
+def module_caches(source):
+    """Each module-level `_<name>_cache = {}` dict, mapped to whether the
+    module also assigns `_<NAME>_CACHE_LIMIT` at module level and calls
+    `.clear()` on the cache."""
+    tree = ast.parse(source)
+    assigned = [(target.id, stmt.value) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                for target in stmt.targets if isinstance(target, ast.Name)]
+    cleared = {node.func.value.id for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "clear" and isinstance(node.func.value, ast.Name)}
+    names = {name for name, _ in assigned}
+    return {name: f"{name[:-len('_cache')].upper()}_CACHE_LIMIT" in names and name in cleared
+            for name, value in assigned
+            if name.startswith("_") and name.endswith("_cache") and isinstance(value, ast.Dict)}
+
+
+def test_detects_an_unbounded_cache():
+    source = ("_LOOSE_CACHE_LIMIT = 8\n_loose_cache = {}\n"
+              "_held_cache = {}\n_HELD_CACHE_LIMIT = 8\n"
+              "def f(x):\n    _free_cache = {}\n"
+              "    if len(_held_cache) >= _HELD_CACHE_LIMIT:\n        _held_cache.clear()\n"
+              "_free_cache = {}\n_other_cache = {}\n_other_cache.clear()\n")
+    assert module_caches(source) == {"_loose_cache": False, "_held_cache": True,
+                                     "_free_cache": False, "_other_cache": False}
+
+
+def test_module_caches_are_bounded():
+    found = {name: bounded for path in MODULES
+             for name, bounded in module_caches(path.read_text()).items()}
+    assert set(found) >= {"_piece_cache", "_oracle_cache", "_strip_cache"}
+    assert [name for name, bounded in found.items() if not bounded] == []
 
 
 @pytest.fixture(scope="module")

@@ -37,8 +37,8 @@ def test_cover_examples():
 
 
 def test_covers_match_brute_force():
-    for base in all_perms(range(1, 5)):
-        for k in (1, 2, 3, 4):
+    for base in all_perms(range(1, 6)):
+        for k in range(1, 6):
             got = k_bruhat_covers(base, k)
             # a window two positions past the support cannot add covers
             assert got == _covers_brute(base, k, len(base) + 2)
@@ -67,8 +67,9 @@ def _strip_targets_brute(u, k, m):
 
 
 def test_strip_targets_match_brute_force():
-    for base in all_perms(range(1, 5)):
-        for k in (1, 2, 3, 4):
+    # 2,400 cases: all of S_5, k = 1..5, m = 0..3
+    for base in all_perms(range(1, 6)):
+        for k in range(1, 6):
             for m in range(4):
                 assert horizontal_strip_targets(base, k, m) == _strip_targets_brute(base, k, m)
 
@@ -108,12 +109,18 @@ def test_grassmannian_rejects_negative_parts():
 def test_check_perm():
     assert check_perm((2, 1, 3)) == (2, 1)
     assert check_perm(()) == ()
-    for w in [(2, 2), (0, 1), (1, 3), (1.5,)]:
+    # (2.0, 1.0) was once returned as is, and (True, 2) as ()
+    for w in [(2, 2), (0, 1), (1, 3), (1.5,), (2.0, 1.0), (True, 2), (2, 1, True), ("1",)]:
         with pytest.raises(ValueError):
             check_perm(w)
 
 
 def test_covers_reject_a_non_permutation():
-    # once returned {(2, 1, 1)}
-    with pytest.raises(ValueError):
-        k_bruhat_covers((1, 1, 2), 1)
+    # once returned {(2, 1, 1)} and {(3, 1.0, 2.0)}
+    for w in [(1, 1, 2), (2.0, 1.0)]:
+        with pytest.raises(ValueError):
+            k_bruhat_covers(w, 1)
+    # k = 1.5 once raised TypeError
+    for k in [0, 1.5, True]:
+        with pytest.raises(ValueError):
+            k_bruhat_covers((2, 1), k)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flaghom import schubert
@@ -7,7 +9,7 @@ from flaghom.permutations import grassmannian_perm
 from flaghom.polynomials import Poly, express_in_basis
 from flaghom.bases import h_basis_family
 from flaghom.schubert import (evaluate_expansion, h_schubert_expansion,
-                              horizontal_strip_targets, pieri_multiply,
+                              horizontal_strip_targets, pieri_chain, pieri_multiply,
                               schubert_oracle, schubert_product_expansion)
 
 
@@ -21,6 +23,73 @@ def test_strip_targets_need_distinct_columns():
     # with k = 1 both steps use i = 1, so the j's alone must differ
     got = horizontal_strip_targets((), 1, 2)
     assert got == {(3, 1, 2)}  # j = 2 then j = 3; repeating j = 2 is illegal
+
+
+@pytest.mark.parametrize("u, k, m", [
+    ((1, 1, 2), 1, 1),   # once returned {(2, 1, 1)}
+    ((2, 1), 0, 1),      # k = 0 and k = -1 once returned set()
+    ((2, 1), -1, 1),
+    ((2, 1), 1, 1.5),    # once raised RecursionError
+    ((2, 1), 1, -1),
+    ((2, 1), 1.0, 1),
+    ((2, 1), True, 1),
+    ((2, 1), 1, True),
+    ((2.0, 1.0), 1, 1),
+    ((True, 2), 1, 1),
+])
+def test_strip_targets_reject_bad_input(u, k, m):
+    with pytest.raises(ValueError):
+        horizontal_strip_targets(u, k, m)
+    with pytest.raises(ValueError):
+        pieri_multiply({u: 1}, m, k)
+
+
+def test_a_cached_key_does_not_admit_an_equal_word_of_other_types():
+    # 2.0 == 2 and True == 1, so these words equal cached keys
+    assert horizontal_strip_targets((2, 1), 1, 1) == {(3, 1, 2)}
+    assert horizontal_strip_targets((), 1, 1) == {(2, 1)}
+    for u in [(2.0, 1.0), (2, 1, 3.0), (True,), ([2], 1)]:
+        with pytest.raises(ValueError):
+            horizontal_strip_targets(u, 1, 1)
+    with pytest.raises(ValueError):
+        pieri_chain({(2.0, 1.0): 1}, (1,))
+
+
+def test_strip_cache_stays_bounded(monkeypatch):
+    cases = [(u, k, m) for u in [(), (2, 1), (1, 3, 2), (3, 1, 2), (2, 3, 1)]
+             for k in (1, 2, 3) for m in range(4)]
+    monkeypatch.setattr(schubert, "_strip_cache", {})
+    fresh = [horizontal_strip_targets(*case) for case in cases]
+    monkeypatch.setattr(schubert, "_strip_cache", {})
+    monkeypatch.setattr(schubert, "_STRIP_CACHE_LIMIT", 5)
+    for _ in range(2):
+        for case, want in zip(cases, fresh):
+            assert horizontal_strip_targets(*case) == want, case
+            assert len(schubert._strip_cache) <= 5
+
+
+def test_mutating_a_result_does_not_change_a_later_call():
+    got = pieri_multiply({(): 1}, 2, 1)
+    got[(3, 1, 2)] = 7
+    got[(2, 1)] = 1
+    assert pieri_multiply({(): 1}, 2, 1) == {(3, 1, 2): 1}
+    exp = h_schubert_expansion((1, 1))
+    exp.clear()
+    assert h_schubert_expansion((1, 1)) == {(2, 3, 1): 1, (3, 1, 2): 1}
+    with pytest.raises(AttributeError):
+        horizontal_strip_targets((), 1, 2).add((2, 1))
+
+
+def test_products_match_the_unshared_chain_on_the_desk_range():
+    comps = [a for n in range(1, 4) for d in range(5) for a in compositions_of(d, n)]
+    pairs = [(a, b) for a in comps for b in comps if sum(a) + sum(b) <= 4]
+    got = [(a, b, sorted(schubert_product_expansion(a, b).items())) for a, b in pairs]
+    for a, b, exp in got:
+        assert pieri_chain(h_schubert_expansion(a), b) == dict(exp), (a, b)
+    # pinned: every product of the range as the unshared chain computes it
+    assert len(pairs) == 757
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "80b8b4e7969c0c2a990bff0f7b37f567014e89148b75d663bcbbdf84321ce11e")
 
 
 def test_pieri_multiply_examples():
