@@ -6,12 +6,11 @@ from .bases import (BasisExpansion, demazure_atom, expand_h_into_atoms,
                     expand_h_into_keys, h_complete, h_flagged,
                     h_flagged_matrix_oracle, h_sym, key_polynomial, kostka,
                     ktilde, ktilde_upper, schur_ssyt)
-from .compositions import dominance_leq, key_poset_leq, relabel
+from .compositions import key_poset_leq
 from .fillings import (FillingStats, attacking, enumerate_fillings,
                        is_member, key_diagram, statistics, weight_of)
-from .frsk import (biword_from_matrix, frsk, frsk_inverse, lift_F,
-                   matrix_from_biword, rho, rho_inverse, rsk, rsk_inverse,
-                   tau, tau_dagger)
+from .frsk import (biword_from_matrix, frsk, frsk_inverse, matrix_from_biword,
+                   rho, rho_inverse, rsk, rsk_inverse, tau, tau_dagger)
 from .kohnert import (build_Da, kohnert_closure, kohnert_moves,
                       kohnert_polynomial, phi, phi_inverse)
 from .permutations import grassmannian_perm, k_bruhat_covers

@@ -70,19 +70,6 @@ def rev(a, n=None):
     return tuple(reversed(tuple(a)))
 
 
-def dominance_leq(a, b):
-    """True iff every prefix sum of a is <= the matching prefix sum of b."""
-    a, b = tuple(a), tuple(b)
-    n = max(len(a), len(b))
-    sa = sb = 0
-    for i in range(n):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa > sb:
-            return False
-    return True
-
-
 def dominance_key(a, n):
     """Sort key realizing a fixed linear extension of dominance order.
 
@@ -133,23 +120,3 @@ def partitions_of(k, max_part=None):
     for first in range(min(k, max_part), 0, -1):
         for rest in partitions_of(k - first, first):
             yield (first,) + rest
-
-
-def relabel(a, I, J):
-    """Move the parts of a sitting at indices I (1-based, sorted) to the
-    indices J, preserving order; all other parts of the result are zero.
-
-    Rejects inputs where a has a nonzero part outside I or |I| != |J|.
-    """
-    I, J = sorted(I), sorted(J)
-    if len(I) != len(J):
-        raise ValueError("index sets must have equal size")
-    a = tuple(a)
-    iset = set(I)
-    for pos, part in enumerate(a, start=1):
-        if part != 0 and pos not in iset:
-            raise ValueError(f"nonzero part at index {pos} outside {I}")
-    out = [0] * (max(J) if J else 0)
-    for i, j in zip(I, J):
-        out[j - 1] = a[i - 1] if i - 1 < len(a) else 0
-    return tuple(out)

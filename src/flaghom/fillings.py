@@ -12,7 +12,7 @@ picture with row 1 at the bottom.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 
 from .compositions import as_comp, is_partition, pad, strip
 
@@ -100,20 +100,12 @@ def statistics(rows, n=None):
             elif e < left:
                 comaj += leg(shape, c, r)
 
-    violations = 0
-    for r in range(1, len(rows) + 1):
-        # basement cell (0, i) attacks (1, r) whenever i > r
-        if a[r - 1] >= 1 and r < entry(1, r) <= n:
-            violations += 1
-        for c in range(1, a[r - 1] + 1):
-            # same column, any higher row
-            for s in range(r + 1, len(rows) + 1):
-                if a[s - 1] >= c and entry(c, s) == entry(c, r):
-                    violations += 1
-            # (c, r) is strictly higher than (c+1, s): attacking pair
-            for s in range(1, r):
-                if a[s - 1] >= c + 1 and entry(c + 1, s) == entry(c, r):
-                    violations += 1
+    # attacking pairs of augmented cells with equal entries; (0, i) holds i
+    cells = {(0, i): i for i in range(1, n + 1)}
+    cells.update(((c, r), e) for r, row in enumerate(rows, start=1)
+                 for c, e in enumerate(row, start=1))
+    violations = sum(cells[u] == cells[v] and attacking(u, v)
+                     for u, v in combinations(cells, 2))
 
     coinv = inv = 0
     for r in range(1, n + 1):
@@ -230,28 +222,3 @@ def enumerate_fillings(shape, n, flavor, weight=None):
 
     backtrack(0)
     return results
-
-
-def is_member_by_definition(rows, flavor, n):
-    """Membership of a filling with entries in [n], read off the definitions:
-    `statistics` for SSKT and rSSAF, rows and columns for SSYT and rSSYT."""
-    if flavor in ("SSKT", "rSSAF"):
-        st = statistics(rows, n)
-        descents = (st.maj, st.coinv) if flavor == "SSKT" else (st.comaj, st.inv)
-        return st.attacking_violations == 0 and descents == (0, 0)
-    sign = -1 if flavor == "rSSYT" else 1  # rSSYT: SSYT conditions on negated entries
-    return (all(sign * x <= sign * y for row in rows for x, y in zip(row, row[1:]))
-            and all(sign * x < sign * y
-                    for lower, upper in zip(rows, rows[1:]) for x, y in zip(lower, upper)))
-
-
-def enumerate_fillings_naive(shape, n, flavor, weight=None):
-    """Filter every one of the n^|shape| entry maps; test oracle."""
-    out = []
-    for values in product(range(1, n + 1), repeat=sum(shape)):
-        entries = iter(values)  # in reading order: row 1 upward, left to right
-        rows = tuple(tuple(next(entries) for _ in range(part)) for part in shape)
-        if weight is None or weight_of(rows, n) == pad(strip(weight), n):
-            if is_member_by_definition(rows, flavor, n):
-                out.append(rows)
-    return out

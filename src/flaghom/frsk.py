@@ -304,17 +304,3 @@ def rho_inverse(Q, n=None):
                 raise ValueError("no admissible position; not an SSYT column stack")
             rows[spot - 1].append(e)
     return tuple(tuple(r) for r in rows)
-
-
-def lift_F(A):
-    """Push a square natural matrix into the lower triangle twice the size:
-    the biword pair (i, j) becomes (i + n, j)."""
-    A = as_matrix(A)
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix is not square")
-    F = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            F[n + i][j] = A[i][j]
-    return tuple(tuple(r) for r in F)

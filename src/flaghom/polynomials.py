@@ -46,6 +46,8 @@ class Poly:
     @classmethod
     def variable(cls, i):
         """The variable x_i (1-based)."""
+        if type(i) is not int or i < 1:
+            raise ValueError(f"need an integer index i >= 1, got {i!r}")
         return cls.monomial((0,) * (i - 1) + (1,))
 
     def is_zero(self):
@@ -189,6 +191,8 @@ def express_in_basis(p, basis):
 
 def divided_difference(p, i):
     """The ith divided difference (f - s_i f) / (x_i - x_{i+1}), exactly."""
+    if type(i) is not int or i < 1:
+        raise ValueError(f"need an integer index i >= 1, got {i!r}")
 
     def terms():
         for exp, coef in p.terms.items():

@@ -63,11 +63,6 @@ def h_schubert_expansion(b):
     return pieri_chain({(): 1}, b)
 
 
-def schubert_product_expansion(a, b):
-    """Schubert expansion of the product of two flagged homogeneous elements."""
-    return pieri_chain(pieri_chain({(): 1}, a), b)
-
-
 def _schubert_poly(w):
     """Divided-difference recursion from the staircase monomial of the
     longest element above w."""

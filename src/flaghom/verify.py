@@ -336,9 +336,10 @@ def suite_involution(report, n, deg):
 def suite_schubert(report, n, deg):
     """Chain counts recombine to the flagged homogeneous element through the
     divided-difference oracle, and products stay nonnegative."""
-    h = {b: h_flagged(b, k) for k, b in _all_comps(n, deg)}
+    comps = list(_all_comps(n, deg))
+    h = {b: h_flagged(b, k) for k, b in comps}
     exps = {}
-    for k, b in _all_comps(n, deg):
+    for k, b in comps:
         exp = exps[b] = h_schubert_expansion(b)
         report.check(all(c >= 0 for c in exp.values()), b=b, kind="nonnegative",
                      got={w: c for w, c in exp.items() if c < 0})
@@ -351,8 +352,8 @@ def suite_schubert(report, n, deg):
             report.equal(want, schubert_oracle(v, max(k, len(v))), m=m, k=k,
                          kind="one-row grassmannian")
     # pairwise products
-    for k1, a in _all_comps(n, deg):
-        for k2, b in _all_comps(n, deg):
+    for k1, a in comps:
+        for k2, b in comps:
             if sum(a) + sum(b) > deg:
                 continue
             exp = pieri_chain(exps[a], b)

@@ -1,0 +1,102 @@
+"""Independent oracles that only the tests read.
+
+Each one computes by the definition what the library computes by a faster or
+more structured route, and shares no code with that route: the naive filling
+filter, the dominance order behind `dominance_key`, relabelling of supports,
+the lift of a square matrix into the lower triangle, and the Demazure
+operator recursion for keys and atoms.
+"""
+
+from functools import cache
+from itertools import product
+
+from flaghom.compositions import as_matrix, pad, strip
+from flaghom.fillings import statistics, weight_of
+from flaghom.polynomials import Poly, divided_difference
+
+
+def is_member_by_definition(rows, flavor, n):
+    """Membership of a filling with entries in [n], read off the definitions:
+    `statistics` for SSKT and rSSAF, rows and columns for SSYT and rSSYT."""
+    if flavor in ("SSKT", "rSSAF"):
+        st = statistics(rows, n)
+        descents = (st.maj, st.coinv) if flavor == "SSKT" else (st.comaj, st.inv)
+        return st.attacking_violations == 0 and descents == (0, 0)
+    sign = -1 if flavor == "rSSYT" else 1  # rSSYT: SSYT conditions on negated entries
+    return (all(sign * x <= sign * y for row in rows for x, y in zip(row, row[1:]))
+            and all(sign * x < sign * y
+                    for lower, upper in zip(rows, rows[1:]) for x, y in zip(lower, upper)))
+
+
+def enumerate_fillings_naive(shape, n, flavor, weight=None):
+    """Filter every one of the n^|shape| entry maps; test oracle."""
+    out = []
+    for values in product(range(1, n + 1), repeat=sum(shape)):
+        entries = iter(values)  # in reading order: row 1 upward, left to right
+        rows = tuple(tuple(next(entries) for _ in range(part)) for part in shape)
+        if weight is None or weight_of(rows, n) == pad(strip(weight), n):
+            if is_member_by_definition(rows, flavor, n):
+                out.append(rows)
+    return out
+
+
+def dominance_leq(a, b):
+    """True iff every prefix sum of a is <= the matching prefix sum of b."""
+    a, b = tuple(a), tuple(b)
+    n = max(len(a), len(b))
+    sa = sb = 0
+    for i in range(n):
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
+        if sa > sb:
+            return False
+    return True
+
+
+def relabel(a, I, J):
+    """Move the parts of a sitting at indices I (1-based, sorted) to the
+    indices J, preserving order; all other parts of the result are zero.
+
+    Rejects inputs where a has a nonzero part outside I or |I| != |J|.
+    """
+    I, J = sorted(I), sorted(J)
+    if len(I) != len(J):
+        raise ValueError("index sets must have equal size")
+    a = tuple(a)
+    iset = set(I)
+    for pos, part in enumerate(a, start=1):
+        if part != 0 and pos not in iset:
+            raise ValueError(f"nonzero part at index {pos} outside {I}")
+    out = [0] * (max(J) if J else 0)
+    for i, j in zip(I, J):
+        out[j - 1] = a[i - 1] if i - 1 < len(a) else 0
+    return tuple(out)
+
+
+def lift_F(A):
+    """Push a square natural matrix into the lower triangle twice the size:
+    the biword pair (i, j) becomes (i + n, j)."""
+    A = as_matrix(A)
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    F = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            F[n + i][j] = A[i][j]
+    return tuple(tuple(r) for r in F)
+
+
+@cache
+def _demazure_by_operators(a, atom):
+    """Filling-free oracle for the key polynomial (atom=False) or Demazure
+    atom (atom=True) of a: x^a when a is weakly decreasing, else
+    pi_i applied to the index with a_i < a_{i+1} exchanged, where
+    pi_i f = d_i(x_i f); atoms use pi_i - 1 (Demazure 1974; Lascoux and
+    Schützenberger, "Keys and standard bases", 1990)."""
+    i = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
+    if i is None:
+        return Poly.monomial(a)
+    higher = _demazure_by_operators(a[:i] + (a[i + 1], a[i]) + a[i + 2:], atom)
+    pi = divided_difference(Poly.variable(i + 1) * higher, i + 1)
+    return pi - higher if atom else pi

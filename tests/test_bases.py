@@ -1,4 +1,3 @@
-from functools import cache
 from itertools import permutations
 
 import pytest
@@ -13,9 +12,10 @@ from flaghom.bases import (BasisExpansion, _bruhat_ideal, demazure_atom,
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
 from flaghom.fillings import key_diagram
 from flaghom.kohnert import build_Da, kohnert_polynomial
-from flaghom.polynomials import Poly, divided_difference
+from flaghom.polynomials import Poly
 from flaghom.schubert import h_schubert_expansion
 from flaghom.snakes import expand_key_into_h
+from oracles import _demazure_by_operators
 
 X1 = Poly.variable(1)
 X2 = Poly.variable(2)
@@ -211,21 +211,8 @@ def test_h_complete_edge_cases():
     assert h_complete(0, 0) == Poly.one()
     assert h_complete(2, 0) == Poly.zero()
     assert h_complete(1, 3) == Poly.variable(1) + Poly.variable(2) + Poly.variable(3)
-
-
-@cache
-def _demazure_by_operators(a, atom):
-    """Filling-free oracle for the key polynomial (atom=False) or Demazure
-    atom (atom=True) of a: x^a when a is weakly decreasing, else
-    pi_i applied to the index with a_i < a_{i+1} exchanged, where
-    pi_i f = d_i(x_i f); atoms use pi_i - 1 (Demazure 1974; Lascoux and
-    Schützenberger, "Keys and standard bases", 1990)."""
-    i = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
-    if i is None:
-        return Poly.monomial(a)
-    higher = _demazure_by_operators(a[:i] + (a[i + 1], a[i]) + a[i + 2:], atom)
-    pi = divided_difference(Poly.variable(i + 1) * higher, i + 1)
-    return pi - higher if atom else pi
+    with pytest.raises(ValueError, match="negative degree"):
+        h_complete(-1, 2)
 
 
 SMALL_COMPOSITIONS = [a for n in range(1, 5) for d in range(7) for a in compositions_of(d, n)]

@@ -99,6 +99,17 @@ def test_rsk_json_pair_feeds_back_through_the_inverse(capsys):
     assert code == 0
     code, out = run(capsys, "rsk", "--inverse", "--pair", pair, "--json")
     assert (code, json.loads(out)) == (0, [[1, 0, 2], [0, 1, 0], [1, 1, 0]])
+    code, out = run(capsys, "rsk", "--inverse", "--pair", pair)
+    assert (code, out) == (0, "1 0 2\n0 1 0\n1 1 0\n")
+
+
+@pytest.mark.parametrize("biword, message", [
+    ("1,2", "error: biword needs exactly two comma-separated lines"),
+    ("1;2;3", "error: biword needs exactly two comma-separated lines"),
+    ("1,2;1", "error: biword lines have different lengths"),
+])
+def test_rsk_biword_errors_are_named(capsys, biword, message):
+    assert run_error(capsys, "rsk", "--biword", biword) == (2, "", [message])
 
 
 def test_kohnert_command(capsys):
@@ -179,6 +190,29 @@ def test_verify_all_hands_each_suite_only_the_options_it_reads(capsys, monkeypat
     assert code == 0
     assert calls == {name: {"n": 4, "deg": 6} for name in SUITES} | {
         "cancelfree": {"deg": 6}, "regressions": {}}
+
+
+def test_verify_json_is_one_list_of_reports(capsys):
+    code, out = run(capsys, "verify", "regressions", "--json")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert sorted(report) == ["failures", "instances", "seconds", "suite"]
+    assert (report["suite"], report["failures"]) == ("regressions", [])
+    assert report["instances"] > 0
+
+
+def test_verify_prints_each_failure_indented_and_exits_1(capsys, monkeypatch):
+    def failing_run_suite(name, **options):
+        report = VerifyReport(name)
+        report.check(True)
+        report.check(False, b=(1, 0), kind="made up")
+        return report
+
+    monkeypatch.setattr(cli, "run_suite", failing_run_suite)
+    code, out = run(capsys, "verify", "cauchy")
+    assert code == 1
+    assert out.splitlines() == ["cauchy: FAIL (1 failures) [2 instances, 0.00s]",
+                                "  {'b': (1, 0), 'kind': 'made up'}"]
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from flaghom import reference as ref
 from flaghom.compositions import compositions_of, partitions_of
 from flaghom.fillings import (FLAVORS, attacking, enumerate_fillings,
-                              enumerate_fillings_naive, is_member,
-                              is_member_by_definition, key_diagram, leg,
-                              statistics, weight_of)
+                              is_member, key_diagram, leg, statistics,
+                              weight_of)
+from oracles import enumerate_fillings_naive, is_member_by_definition
 
 
 def naive_range():
@@ -95,6 +95,10 @@ def test_enumerate_examples():
     for flavor in ("SSKT", "rSSAF", "SSYT", "rSSYT"):
         assert enumerate_fillings((0, 0), 3, flavor) == [((), ())]
     assert enumerate_fillings((), 2, "SSYT") == [()]
+    with pytest.raises(ValueError, match="unknown flavor"):
+        enumerate_fillings((1, 1), 2, "SSAF")
+    with pytest.raises(ValueError, match="not a partition"):
+        enumerate_fillings((1, 2), 2, "SSYT")
 
 
 def test_enumerate_matches_naive_filter():

@@ -8,9 +8,10 @@ from flaghom import reference as ref
 from flaghom.compositions import compositions_of, partitions_of
 from flaghom.fillings import enumerate_fillings, is_member, shape_of, weight_of
 from flaghom.frsk import (biword_from_matrix, flagged_insert_trace, frsk,
-                          frsk_inverse, lift_F, matrix_from_biword, pad_rows,
-                          rho, rho_inverse, rsk, rsk_insert_trace, rsk_inverse,
-                          tau, tau_dagger)
+                          frsk_inverse, matrix_from_biword, pad_rows, rho,
+                          rho_inverse, rsk, rsk_insert_trace, rsk_inverse, tau,
+                          tau_dagger)
+from oracles import lift_F
 
 PAIRS = list(zip(ref.BIWORD_TOP, ref.BIWORD_BOTTOM))
 M13 = matrix_from_biword(PAIRS, 7)
@@ -65,6 +66,11 @@ def test_flagged_insert_examples():
     out, chain = flagged_insert_trace(((1,), (2,), ()), 3, 3)
     assert out == ((1,), (2,), (3,))
     assert len(chain) == 1
+    with pytest.raises(ValueError, match="taller than ambient window"):
+        flagged_insert_trace(((1,), (2,), ()), 1, 2)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match=r"outside \[2\]"):
+            flagged_insert_trace(((), ()), j, 2)
 
 
 def test_frsk_examples():
@@ -88,6 +94,8 @@ def test_column_set_maps_on_pinned_pair():
 
 def test_rho_single_cell():
     assert rho_inverse(((3,),), 4) == ((), (), (3,), ())
+    with pytest.raises(ValueError, match="smaller than the largest entry"):
+        rho_inverse(((3,),), 2)
 
 
 def test_tau_dagger_detects_non_images():
@@ -97,6 +105,9 @@ def test_tau_dagger_detects_non_images():
     # column width differs from the shape
     with pytest.raises(ValueError):
         tau_dagger(((1, 1),), (1, 1))
+    # one entry for a column of two cells
+    with pytest.raises(ValueError, match="column multiset size"):
+        tau_dagger(((1,),), (1, 1))
 
 
 def test_exhaustive_small_matrices():

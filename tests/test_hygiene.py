@@ -2,6 +2,9 @@
 every name it imports is used in it, every top-level function and class
 of a library module is referred to by name somewhere in the package or the
 tests, outside its own body, and every module-level cache is bounded.
+Test-only code lives in ``tests/oracles.py``: every library definition is
+also reached without the tests, from the package, its exported API, or the
+benchmark.
 
 The package ``__init__`` is exempt, since its imports are re-exports.
 
@@ -105,6 +108,36 @@ def used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, used_names):
     assert unreferenced_definitions(path.read_text(), used_names) == []
+
+
+def reached_names(package, init, perfbench, layers):
+    """Names reached without the tests: those referred to in the package or
+    perfbench sources, those the package ``__init__`` imports (the exported
+    API), and the layer functions that perfbench wraps by name."""
+    exported = {alias.asname or alias.name for stmt in ast.parse(init).body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    wrapped = {name for names in layers.values() for name in names}
+    return referenced_names([*package, *perfbench]) | exported | wrapped
+
+
+def test_detects_a_definition_only_tests_reach():
+    library = ("def api():\n    return 1\n\ndef traced():\n    return 2\n\n"
+               "def helper():\n    return 3\n\ndef caller():\n    return helper()\n\n"
+               "def benched():\n    return 4\n\ndef oracle():\n    return 5\n")
+    used = reached_names([library, "caller()\n"], "from .lib import api\n",
+                         ["x = lib.benched()\n"], {"lib": ("traced",)})
+    assert unreferenced_definitions(library, used) == ["oracle"]
+    tests = referenced_names(["oracle()\n"])
+    assert unreferenced_definitions(library, used | tests) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_definition_is_reached_only_by_tests(path, perfbench):
+    tracer, _ = perfbench
+    used = reached_names((p.read_text() for p in PACKAGE.glob("*.py")),
+                         (PACKAGE / "__init__.py").read_text(),
+                         (p.read_text() for p in PERFBENCH.glob("*.py")), tracer.LAYERS)
+    assert unreferenced_definitions(path.read_text(), used) == []
 
 
 def module_caches(source):

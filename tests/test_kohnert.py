@@ -44,6 +44,9 @@ def test_build_Da_examples():
     assert build_Da((0, 0, 0)) == frozenset()
     assert build_Da((0, 2)) == frozenset({(1, 2), (2, 2)})
     assert is_southwest(build_Da((2, 0, 3)))
+    # every D_a passes vacuously; a cell up and to the left needs its corner
+    assert not is_southwest({(2, 1), (1, 2)})
+    assert is_southwest({(1, 1), (2, 1), (1, 2)})
 
 
 def test_phi_examples():
@@ -103,6 +106,9 @@ def test_phi_rejects_outside_closure():
     # rows increasing within a window violate the drop structure
     with pytest.raises(ValueError):
         phi(frozenset({(1, 1), (2, 2)}), (0, 2))
+    for cell in [(3, 1), (1, 3), (0, 1)]:  # the window of (1, 1) is [2] x [2]
+        with pytest.raises(ValueError, match="lies outside"):
+            phi(frozenset({cell}), (1, 1))
     with pytest.raises(ValueError):
         phi_inverse(((0, 1), (1, 0)), (1, 1))
     with pytest.raises(ValueError):

@@ -132,3 +132,23 @@ def test_divided_difference():
     # each homogeneous part drops one degree: 4 -> 3 and 2 -> 1
     p = Poly.monomial((3, 1)) - Poly.monomial((0, 2))
     assert {sum(e) for e in divided_difference(p, 1).terms} == {3, 1}
+
+
+@pytest.mark.parametrize("i", [0, -1, True, 1.0, "1", None])
+def test_index_arguments_reject_a_non_positive_or_non_integer_index(i):
+    # divided_difference(x1^2, 0) once returned 0, (x1^2 x2, -1) gave x1 x2,
+    # and Poly.variable(0) and (-1) both gave x1
+    with pytest.raises(ValueError, match="integer index"):
+        divided_difference(X1 ** 2 * X2, i)
+    with pytest.raises(ValueError, match="integer index"):
+        Poly.variable(i)
+
+
+def test_scalars_powers_and_repr():
+    assert Poly.one() == 1 and X1 != 1 and Poly.zero() == 0
+    assert bool(X1) and not Poly.zero()
+    with pytest.raises(ValueError, match="negative power"):
+        X1 ** -1
+    assert repr(-X1) == "-x1"
+    assert repr(X2 - X1 ** 2 * X2) == "x2 - x1^2*x2"
+    assert repr(X1 * X2 - 3 * X1 + 2) == "2 - 3*x1 + x1*x2"

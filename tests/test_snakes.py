@@ -9,8 +9,8 @@ from flaghom import reference as ref
 from flaghom import snakes
 from flaghom.bases import h_flagged, key_polynomial, kostka, ktilde
 from flaghom.compositions import (compositions_of, dominance_key,
-                                  key_poset_leq, pad, partitions_of, relabel,
-                                  sort_comp, strip)
+                                  key_poset_leq, pad, partitions_of, sort_comp,
+                                  strip)
 from flaghom.fillings import is_member, key_diagram, weight_of
 from flaghom.polynomials import Poly
 from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
@@ -23,6 +23,7 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             snake_sign, special_snakes, tabloid_json_texts,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
+from oracles import relabel
 
 
 def test_weakly_connected_components_figure():
@@ -53,6 +54,8 @@ def test_snake_triple_condition():
     assert is_snake({(1, 1), (2, 1)}, b)
     # ragged complement
     assert not is_snake({(1, 2)}, (2, 2))
+    with pytest.raises(ValueError, match="outside the key diagram"):
+        complement_shape({(3, 1)}, b)
 
 
 def test_rim_hook_examples():
@@ -181,6 +184,8 @@ def test_cancel_pair():
 def test_tabloid_validation_rejects_bad_sequences():
     # nonempty snake for an empty residual row
     assert not validate_special_snake_tabloid((0, 1), (frozenset({(1, 2)}), frozenset()))
+    # one snake per row of the shape
+    assert not validate_special_snake_tabloid((1, 1), (frozenset({(1, 1)}),))
     # first snake skips the anchor cell
     assert not validate_special_snake_tabloid(
         (1, 1), (frozenset({(1, 2)}), frozenset({(1, 1)})))
@@ -310,6 +315,11 @@ def test_gset_examples():
     assert not is_member(ref.ALMOST_SSKT, "SSKT", 7)
     # a negative entry off the snake once counted as an SSKT entry
     assert not in_gset(frozenset({(1, 1)}), ((1,), (-1,)), (1, 1))
+    # rows of another shape, and a snake whose complement is not a key diagram
+    assert not in_gset(frozenset({(1, 1)}), ((1,), (1, 1)), (1, 1))
+    assert not in_gset(frozenset({(1, 1)}), ((1, 1),), (2,))
+    with pytest.raises(ValueError, match="not a special snake"):
+        gset_enumerate(frozenset({(2, 1)}), (2, 0))
 
 
 def test_gset_generating_function():
