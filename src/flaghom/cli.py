@@ -214,6 +214,8 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     data = json.loads(args.data if args.data else sys.stdin.read())
     if args.kind == "filling":
         print(render_filling(rows_from_json(data), args.n))

@@ -7,7 +7,9 @@ a list of (top, bottom) pairs kept in the canonical order: top entries
 weakly increasing, bottom entries weakly decreasing within a constant top.
 """
 
-from .compositions import as_matrix, is_lower_triangular
+from itertools import product
+
+from .compositions import as_comp, as_matrix, is_lower_triangular
 from .fillings import is_member, shape_of
 
 
@@ -118,68 +120,46 @@ def rsk_inverse(P, Q, n=None):
 # flagged insertion and flagged RSK
 
 
-def _count_geq(rows, c, j, n):
-    """Entries weakly greater than j in column c; column 0 is the basement."""
-    if c == 0:
-        return n - j + 1
-    return sum(1 for row in rows if len(row) >= c and row[c - 1] >= j)
-
-
 def flagged_insert_trace(S, j, n):
     """Insert j into an SSKT with ambient window [n].
 
-    Repeatedly: take the rightmost column (weakly left of the previous one)
-    holding strictly fewer entries weakly >= j than the column to its left,
-    then put j in the topmost position of that column that is free of weakly
-    larger entries and sits immediately right of an entry >= j (basement
-    included), displacing any smaller occupant.
+    Scan the columns right to left, from one past the longest row or, after
+    a bump, from the bumped column, and in each column the rows n down to 1;
+    take the first cell whose row reaches the column to its left with an
+    entry >= j there (the basement entry r in column 1) and which is the
+    vacant end of its row or holds an entry < j.  Append j there, or put j
+    there and go on with the displaced entry.
+
+    This is the rightmost column holding fewer entries >= j than the one to
+    its left (the basement left of column 1): SSKT rows weakly decrease from
+    their basement entry r, so the rows holding >= j in a column lie among
+    those holding >= j to its left, and the count drops exactly where a row
+    meets the condition above.
 
     Returns the new filling (window rows) and the chain [(column, row), ...].
     """
     rows = [list(r) for r in S]
     if len(rows) > n:
         raise ValueError("filling taller than ambient window")
-    while len(rows) < n:
-        rows.append([])
     if not 1 <= j <= n:
         raise ValueError(f"entry {j} outside [{n}]")
+    rows += [[] for _ in range(n - len(rows))]
     chain = []
-    bound = None
+    hi = max(map(len, rows)) + 1
     while True:
-        hi = max((len(r) for r in rows), default=0) + 1
-        if bound is not None:
-            hi = min(hi, bound)
-        col = next(
-            (c for c in range(hi, 0, -1)
-             if _count_geq(rows, c, j, n) < _count_geq(rows, c - 1, j, n)),
-            None,
-        )
-        if col is None:
-            raise ValueError("no admissible column; input is not an SSKT")
-        target = None
-        for r in range(n, 0, -1):
+        for c, r in product(range(hi, 0, -1), range(n, 0, -1)):
             row = rows[r - 1]
-            left = r if col == 1 else (row[col - 2] if len(row) >= col - 1 else None)
-            if left is None or left < j:
-                continue
-            if len(row) >= col:
-                if row[col - 1] < j:
-                    target = r
-                    break
-            elif len(row) == col - 1:
-                target = r
+            if (len(row) >= c - 1 and (r if c == 1 else row[c - 2]) >= j
+                    and (len(row) == c - 1 or row[c - 1] < j)):
                 break
-        if target is None:
-            raise ValueError("no admissible position; input is not an SSKT")
-        chain.append((col, target))
-        row = rows[target - 1]
-        if len(row) >= col:
-            j, row[col - 1] = row[col - 1], j
-            bound = col
         else:
+            raise ValueError("no admissible position; input is not an SSKT")
+        chain.append((c, r))
+        if len(row) == c - 1:
             row.append(j)
-            break
-    return tuple(tuple(r) for r in rows), chain
+            return tuple(tuple(r) for r in rows), chain
+        j, row[c - 1] = row[c - 1], j
+        hi = c
 
 
 def frsk(L):
@@ -259,7 +239,7 @@ def tau_dagger(P, a):
     The result is an SSKT exactly when P is in the image of tau restricted
     to shape a; raises if a column multiset cannot be placed at all.
     """
-    a = tuple(a)
+    a = as_comp(a)
     cols = _column_multisets(P)
     width = max(cols, default=0)
     if width != max(a, default=0):

@@ -79,6 +79,8 @@ def k_bruhat_covers(u, k):
 def grassmannian_perm(lam, k):
     """The unique permutation with at most one descent, at position k, whose
     first k values are i + lam_{k+1-i}; lam must have at most k parts."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     lam = as_comp(lam)
     if len([p for p in lam if p > 0]) > k:
         raise ValueError(f"partition {lam} has more than {k} nonzero parts")

@@ -308,6 +308,7 @@ def run_error(capsys, *argv):
     ("rsk", "--inverse", "--flagged", "--n", "2", "--pair",
      '{"S": {"rows": [[1]]}, "T": {"rows": [[1]]}}'),
     ("render", "matrix", "[[1]]", "--n", "3"),
+    ("render", "filling", '{"rows": [[1]]}', "--n", "-3"),  # once ignored
     ("kohnert", "--diagram", "1,1", "--n", "9"),
     ("render", "filling", '{"shape": [2], "rows": [[1]]}'),  # each once drew what it had
     ("render", "filling", '{"rows": [[0]]}'),

@@ -71,6 +71,9 @@ def test_flagged_insert_examples():
     for j in (0, 3):
         with pytest.raises(ValueError, match=r"outside \[2\]"):
             flagged_insert_trace(((), ()), j, 2)
+    # 0 is below its basement entry, so the bumped 1 has no place left
+    with pytest.raises(ValueError, match="no admissible position"):
+        flagged_insert_trace(((0,),), 1, 1)
 
 
 def test_frsk_examples():
@@ -96,6 +99,9 @@ def test_rho_single_cell():
     assert rho_inverse(((3,),), 4) == ((), (), (3,), ())
     with pytest.raises(ValueError, match="smaller than the largest entry"):
         rho_inverse(((3,),), 2)
+    # two 1s in one column: the second finds no row of length 0 above a 1
+    with pytest.raises(ValueError, match="not an SSYT column stack"):
+        rho_inverse(((1,), (1,)))
 
 
 def test_tau_dagger_detects_non_images():
@@ -108,6 +114,9 @@ def test_tau_dagger_detects_non_images():
     # one entry for a column of two cells
     with pytest.raises(ValueError, match="column multiset size"):
         tau_dagger(((1,),), (1, 1))
+    # a negative part, once read as a zero-length row
+    with pytest.raises(ValueError, match="negative part"):
+        tau_dagger(((1,),), (1, -1))
 
 
 def test_exhaustive_small_matrices():
@@ -240,15 +249,26 @@ def test_every_small_pair_is_an_image():
 
 
 def test_insertion_commutes_with_column_stack():
-    # states reachable while folding small matrices, all entries
-    for L in lower_triangular_matrices(3, 4):
-        S = ()
-        for i, j in biword_from_matrix(L):
-            S, _ = flagged_insert_trace(pad_rows(S, i), j, i)
-        S = pad_rows(S, 3)
-        for j in (1, 2, 3):
-            inserted = flagged_insert_trace(S, j, 3)[0]
-            assert tau(inserted) == rsk_insert_trace(tau(S), j)[0], (L, j)
+    # every SSKT of at most four rows and six cells, every entry of its window
+    count = 0
+    for n in range(1, 5):
+        for d in range(7):
+            for a in compositions_of(d, n):
+                for S in enumerate_fillings(a, n, "SSKT"):
+                    for j in range(1, n + 1):
+                        out, chain = flagged_insert_trace(S, j, n)
+                        assert is_member(out, "SSKT", n), (S, j)
+                        weight = list(weight_of(S, n))
+                        weight[j - 1] += 1
+                        assert weight_of(out, n) == tuple(weight), (S, j)
+                        # the chain ends at the one cell the shape gains
+                        c, r = chain[-1]
+                        shape = list(a)
+                        shape[r - 1] += 1
+                        assert shape_of(out) == tuple(shape) and c == shape[r - 1], (S, j)
+                        assert tau(out) == rsk_insert_trace(tau(S), j)[0], (S, j)
+                        count += 1
+    assert count == 14_374
 
 
 @st.composite

@@ -106,6 +106,19 @@ def test_grassmannian_rejects_negative_parts():
         grassmannian_perm((-1,), 1)
 
 
+def test_grassmannian_rejects_bad_k():
+    # k = 1.5 once raised TypeError
+    for k in [0, 1.5, True]:
+        with pytest.raises(ValueError, match="k must be an integer"):
+            grassmannian_perm((1,), k)
+
+
+def test_apply_transposition_needs_ordered_positions():
+    for i, j in [(2, 1), (1, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="need 1 <= i < j"):
+            apply_transposition((), i, j)
+
+
 def test_check_perm():
     assert check_perm((2, 1, 3)) == (2, 1)
     assert check_perm(()) == ()

@@ -345,6 +345,8 @@ def test_s_attacks_examples():
     S2 = frozenset({(1, 1), (1, 2)})
     rows2 = ((1,), (1,))
     assert s_attacks(S2, rows2, b2) == [((1, 1), (1, 2))]
+    # a snake cell not holding 1 starts no attack
+    assert s_attacks({(1, 1)}, ((2,),), (1,)) == []
     # the pinned configuration selects the pinned first cell
     atts = s_attacks(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B)
     assert atts
