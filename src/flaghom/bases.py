@@ -16,6 +16,8 @@ def h_complete(k, m):
     """The complete homogeneous polynomial h_k(x_1, ..., x_m)."""
     if type(m) is not int or m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    if type(k) is not int:
+        raise ValueError(f"degree must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"negative degree {k}")
     if k == 0:

@@ -267,6 +267,8 @@ def rho_inverse(Q, n=None):
     width = max(cols, default=0)
     top = max((max(v) for v in cols.values()), default=0)
     n = top if n is None else n
+    if type(n) is not int:
+        raise ValueError(f"ambient {n!r} is not an integer")
     if n < top:
         raise ValueError(f"ambient {n} smaller than the largest entry")
     rows = [[] for _ in range(n)]

@@ -1,7 +1,8 @@
 """Snakes of key diagrams, special snake tabloids, the signed inverse of the
 flagged Kostka matrix, and the sign-reversing involution that proves the
-expansion.  The rim hook analogues on partition shapes live here too, as an
-independent cross-check."""
+expansion.  A piece D(d) - D(e) of a residual shape d is named by e, and the
+signed inverse is tallied over residual shapes.  The rim hook analogues on
+partition shapes live here too, as an independent cross-check."""
 
 import json
 from dataclasses import dataclass
@@ -110,19 +111,12 @@ def snake_sign(S):
 
 
 def _special_pieces(d, predicate):
-    """Special pieces of the residual shape d, named by their complement
-    compositions e with e_anchor = 0: yields (D(d) - D(e), e) for each e
-    that predicate(e, d) accepts."""
-    d = tuple(d)
+    """Special pieces D(d) - D(e) of the residual shape d, named by their
+    complement compositions e with e_anchor = 0: the e that predicate(e, d)
+    accepts."""
     anchor = lowest_column_one_cell(d)
-    if anchor is None:
-        return
-    _, i = anchor
-    host = key_diagram(d)
-    ranges = [range(d[r - 1] + 1) if r != i else (0,) for r in range(1, len(d) + 1)]
-    for e in product(*ranges):
-        if predicate(e, d):
-            yield host - key_diagram(e), e
+    ranges = [range(p + 1) if (1, r) != anchor else (0,) for r, p in enumerate(d, 1)]
+    return [] if anchor is None else [e for e in product(*ranges) if predicate(e, d)]
 
 
 def _snake_predicate(e, d):
@@ -170,14 +164,13 @@ def _snake_pieces(d):
     anchor = lowest_column_one_cell(d)
     pieces = []
     if anchor is not None:
-        host, e, top = key_diagram(d), [0] * len(d), [part + 1 for part in d]
+        e, top = [0] * len(d), [part + 1 for part in d]
         top[anchor[1] - 1] = 1  # the anchor cell stays in the piece
 
         def grow(s):
             if s == len(d):
                 if _rows_connected(e, d, [r for r in range(s) if e[r] < d[r]]):
-                    f = tuple(e)
-                    pieces.append((host - key_diagram(f), f))
+                    pieces.append(tuple(e))
                 return
             lo = 0
             for r in range(s):
@@ -199,7 +192,9 @@ def _snake_pieces(d):
 def special_snakes(b):
     """All (snake, residual shape) pairs for the special snakes of D(b).
     Rejects what as_comp rejects."""
-    return list(_snake_pieces(as_comp(b)))
+    b = as_comp(b)
+    host = key_diagram(b)
+    return [(host - key_diagram(e), e) for e in _snake_pieces(b)]
 
 
 @dataclass(frozen=True)
@@ -241,8 +236,8 @@ def tabloid_json_texts(tabloids):
 
 def _tabloids(shape, pieces):
     """Snake sequences of every tabloid of the shape, depth first, taking
-    from each residual shape d the (piece, e) pairs of pieces(d); the
-    sequences completing a residual shape from row i on are built once."""
+    from each residual shape d the pieces D(d) - D(e), e in pieces(d); the
+    sequences completing d from row i on, and their pieces, are built once."""
     n = len(shape)
     memo = {}
 
@@ -253,8 +248,10 @@ def _tabloids(shape, pieces):
             if d[i - 1] == 0:
                 memo[d, i] = tuple((frozenset(),) + rest for rest in go(d, i + 1))
             else:
+                host = key_diagram(d)
                 memo[d, i] = tuple((S,) + rest
-                                   for S, e in pieces(d)
+                                   for e in pieces(d)
+                                   for S in (host - key_diagram(e),)
                                    for rest in go(e, i + 1))
         return memo[d, i]
 
@@ -293,14 +290,32 @@ def inverse_ktilde(a, b):
 
 def expand_key_into_h(b, n=None):
     """Signed expansion of the key polynomial of b in the flagged
-    homogeneous basis, read off the snake tabloids of shape b.  Rejects what
-    as_comp(b, n) rejects."""
+    homogeneous basis: the snake tabloids of shape b counted with sign by
+    weight over the memo keys (d, i) of _tabloids, without listing them, as
+    Egecioglu and Remmel count rim hook tabloids.  A piece D(d) - D(e) has
+    size sum(d) - sum(e) and sign (-1)^(h - 1), h the rows with e_r < d_r.
+    Rejects what as_comp(b, n) rejects."""
     b = as_comp(b, n)
-    terms = {}
-    for U in enumerate_special_snake_tabloids(b):
-        w = strip(U.weight())
-        terms[w] = terms.get(w, 0) + U.sign()
-    return BasisExpansion("h-flagged", terms)
+    memo = {}
+
+    def go(d, i):
+        # weight suffix (rows i..n) -> signed count of the completions of d
+        if i > len(b):
+            return {} if any(d) else {(): 1}
+        if (d, i) not in memo:
+            if d[i - 1] == 0:
+                memo[d, i] = {(0,) + w: c for w, c in go(d, i + 1).items()}
+            else:
+                memo[d, i] = tally = {}
+                for e in _snake_pieces(d):
+                    size = sum(d) - sum(e)
+                    sign = (-1) ** (sum(x < y for x, y in zip(e, d)) - 1)
+                    for w, c in go(e, i + 1).items():
+                        w = (size,) + w
+                        tally[w] = tally.get(w, 0) + sign * c
+        return memo[d, i]
+
+    return BasisExpansion("h-flagged", go(b, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +368,8 @@ def gset_enumerate(S, b):
     if not is_special_snake(S, b):
         raise ValueError("not a special snake of the diagram")
     a = complement_shape(S, b)
-    out = []
-    for inner in enumerate_fillings(pad(a, len(b)), len(b), "SSKT"):
-        rows = tuple(
-            inner[r - 1] + (1,) * (b[r - 1] - a[r - 1])
-            for r in range(1, len(b) + 1)
-        )
-        out.append(rows)
-    return out
+    return [tuple(inner[r] + (1,) * (b[r] - a[r]) for r in range(len(b)))
+            for inner in enumerate_fillings(pad(a, len(b)), len(b), "SSKT")]
 
 
 def s_attacks(S, rows, b):

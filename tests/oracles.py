@@ -3,16 +3,19 @@
 Each one computes by the definition what the library computes by a faster or
 more structured route, and shares no code with that route: the naive filling
 filter, the dominance order behind `dominance_key`, relabelling of supports,
-the lift of a square matrix into the lower triangle, and the Demazure
-operator recursion for keys and atoms.
+the lift of a square matrix into the lower triangle, the Demazure
+operator recursion for keys and atoms, and the key-to-h expansion as a sum
+over listed snake tabloids.
 """
 
 from functools import cache
 from itertools import product
 
-from flaghom.compositions import as_matrix, pad, strip
+from flaghom.bases import BasisExpansion
+from flaghom.compositions import as_comp, as_matrix, pad, strip
 from flaghom.fillings import statistics, weight_of
 from flaghom.polynomials import Poly, divided_difference
+from flaghom.snakes import enumerate_special_snake_tabloids
 
 
 def is_member_by_definition(rows, flavor, n):
@@ -100,3 +103,15 @@ def _demazure_by_operators(a, atom):
     higher = _demazure_by_operators(a[:i] + (a[i + 1], a[i]) + a[i + 2:], atom)
     pi = divided_difference(Poly.variable(i + 1) * higher, i + 1)
     return pi - higher if atom else pi
+
+
+def expand_key_into_h_by_tabloids(b, n=None):
+    """Signed expansion of the key polynomial of b in the flagged
+    homogeneous basis, read off the snake tabloids of shape b.  Rejects what
+    as_comp(b, n) rejects."""
+    b = as_comp(b, n)
+    terms = {}
+    for U in enumerate_special_snake_tabloids(b):
+        w = strip(U.weight())
+        terms[w] = terms.get(w, 0) + U.sign()
+    return BasisExpansion("h-flagged", terms)

@@ -99,6 +99,10 @@ def test_rho_single_cell():
     assert rho_inverse(((3,),), 4) == ((), (), (3,), ())
     with pytest.raises(ValueError, match="smaller than the largest entry"):
         rho_inverse(((3,),), 2)
+    # n = 1.5 once failed in range with a TypeError, and n = True answered
+    for n in [1.5, True]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            rho_inverse(((1,),), n)
     # two 1s in one column: the second finds no row of length 0 above a 1
     with pytest.raises(ValueError, match="not an SSYT column stack"):
         rho_inverse(((1,), (1,)))

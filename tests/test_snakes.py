@@ -17,13 +17,14 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             _special_pieces, complement_shape,
                             connected_components,
                             enumerate_special_rim_hook_tabloids,
-                            enumerate_special_snake_tabloids, gset_enumerate,
+                            enumerate_special_snake_tabloids,
+                            expand_key_into_h, gset_enumerate,
                             in_gset, inverse_ktilde, iota, is_rim_hook,
                             is_snake, is_special_snake, s_attacks,
                             snake_sign, special_snakes, tabloid_json_texts,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
-from oracles import relabel
+from oracles import expand_key_into_h_by_tabloids, relabel
 
 
 def test_weakly_connected_components_figure():
@@ -223,6 +224,19 @@ def test_inverse_ktilde_examples(a, b, want):
     assert inverse_ktilde(a, b) == want
 
 
+def test_tally_matches_the_sum_over_tabloids_exhaustive_small():
+    shapes = [b for rows in range(7) for b in product(range(4), repeat=rows)]
+    for b in shapes:
+        assert expand_key_into_h(b) == expand_key_into_h_by_tabloids(b), b
+    assert len(shapes) == 5461
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 5), max_size=7).map(tuple))
+def test_tally_matches_the_sum_over_tabloids(b):
+    assert expand_key_into_h(b) == expand_key_into_h_by_tabloids(b)
+
+
 def test_snake_expansion_identity_small():
     for n in (1, 2, 3):
         for d in range(4):
@@ -345,8 +359,12 @@ def test_s_attacks_examples():
     S2 = frozenset({(1, 1), (1, 2)})
     rows2 = ((1,), (1,))
     assert s_attacks(S2, rows2, b2) == [((1, 1), (1, 2))]
-    # a snake cell not holding 1 starts no attack
+    # a snake cell not holding 1 starts no attack, even below a 1
     assert s_attacks({(1, 1)}, ((2,),), (1,)) == []
+    assert s_attacks({(1, 1)}, ((1,), (1,)), (1, 1)) == [((1, 1), (1, 2))]
+    assert s_attacks({(1, 1)}, ((2,), (1,)), (1, 1)) == []
+    assert s_attacks({(1, 2)}, ((1, 1), (1,)), (2, 1)) == [((1, 2), (2, 1))]
+    assert s_attacks({(1, 2)}, ((1, 1), (2,)), (2, 1)) == []
     # the pinned configuration selects the pinned first cell
     atts = s_attacks(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B)
     assert atts
