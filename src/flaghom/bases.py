@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .compositions import (as_comp, compositions_of, dominance_key,
+from .compositions import (as_comp, as_window, compositions_of, dominance_key,
                            partitions_of, rev, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import rho_inverse
@@ -77,7 +77,7 @@ def key_polynomial(a, n=None):
 def demazure_atom(a, n=None):
     """Weight generating function of the rSSAF of shape rev(a), with the
     alphabet reversed (variable i becomes x_{n+1-i})."""
-    a = tuple(a)
+    a = as_comp(a, n)
     n = len(a) if n is None else n
     return Poly.from_terms((rev(weight_of(rows, n), n), 1)
                            for rows in enumerate_fillings(rev(a, n), n, "rSSAF"))
@@ -178,7 +178,9 @@ def expand_h_into_atoms(b, n=None):
 
 def _family(degrees, n, element):
     """(a, element(a, n)) for the compositions a of the given total degrees
-    into n parts, listed along the fixed linear extension of dominance order."""
+    into n parts, listed along the fixed linear extension of dominance order.
+    Rejects what as_window rejects of n."""
+    as_window(n)
     return [(a, element(a, n)) for d in sorted(set(degrees))
             for a in sorted(compositions_of(d, n), key=lambda a: dominance_key(a, n))]
 

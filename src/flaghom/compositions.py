@@ -18,9 +18,16 @@ def as_comp(a, n=None):
         raise ValueError(f"non-integer part in {a}")
     if min(a, default=0) < 0:
         raise ValueError(f"negative part in {a}")
-    if n is not None and n < len(strip(a)):
+    if n is not None and as_window(n) < len(strip(a)):
         raise ValueError(f"ambient {n} smaller than length of {a}")
     return a
+
+
+def as_window(n):
+    """n, checked to be a variable window: an integer >= 0, not a bool."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"window {n!r} is not an integer >= 0")
+    return n
 
 
 def as_matrix(A):

@@ -14,7 +14,7 @@ picture with row 1 at the bottom.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .compositions import as_comp, is_partition, pad, strip
+from .compositions import as_comp, as_window, is_partition, pad, strip
 
 FLAVORS = ("SSKT", "rSSAF", "SSYT", "rSSYT")
 
@@ -40,8 +40,9 @@ def shape_of(rows):
 
 def weight_of(rows, n=None):
     """Entry multiplicities as a composition of length n (default: the
-    largest entry); an entry outside [1, n] raises ValueError."""
-    n = max((max(r) for r in rows if r), default=0) if n is None else n
+    largest entry); an entry outside [1, n] raises ValueError, and so does
+    what as_window rejects of n."""
+    n = max((max(r) for r in rows if r), default=0) if n is None else as_window(n)
     counts = [0] * n
     try:  # one comparison per entry: an entry above n overruns counts
         for row in rows:
@@ -85,7 +86,7 @@ def statistics(rows, n=None):
     """
     rows = tuple(tuple(r) for r in rows)
     shape = shape_of(rows)
-    n = max(len(rows), n or 0)
+    n = max(len(rows), 0 if n is None else as_window(n))
     a = pad(shape, n)
 
     def entry(c, r):
@@ -167,9 +168,12 @@ def _fits(grid, shape, flavor, c, s, e):
 def is_member(rows, flavor, n=None):
     """Membership in a tableau family, cell by cell by `_fits`.  Entries lie
     in [n]; for SSKT and rSSAF n is at least the row count, and for SSYT and
-    rSSYT an unbounded n (None) only requires positive entries."""
+    rSSYT an unbounded n (None) only requires positive entries.  Rejects what
+    as_window rejects of n."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
+    if n is not None:
+        as_window(n)
     rows = tuple(tuple(r) for r in rows)
     if flavor in ("SSKT", "rSSAF"):
         n = max(len(rows), n or 0)
@@ -191,7 +195,7 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     upward, left to right.  Backtracks cell by cell, by `_fits`, under a
     budget of the entries of each value still to place.
     """
-    shape = as_comp(shape, n)
+    shape = as_comp(shape, as_window(n))
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):

@@ -9,7 +9,7 @@ weakly increasing, bottom entries weakly decreasing within a constant top.
 
 from itertools import product
 
-from .compositions import as_comp, as_matrix, is_lower_triangular
+from .compositions import as_comp, as_matrix, as_window, is_lower_triangular
 from .fillings import is_member, shape_of
 
 
@@ -24,8 +24,11 @@ def biword_from_matrix(A):
 
 
 def matrix_from_biword(pairs, n=None):
-    if n is None:
-        n = max((max(i, j) for i, j in pairs), default=0)
+    """The n x n matrix counting each pair (i, j) at row i, column j; n
+    defaults to the largest letter.  Letters are integers in [n], not bools."""
+    if not all(type(i) is type(j) is int for i, j in pairs):
+        raise ValueError("biword letter is not an integer")
+    n = max((max(i, j) for i, j in pairs), default=0) if n is None else as_window(n)
     M = [[0] * n for _ in range(n)]
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -64,16 +67,15 @@ def rsk_insert_trace(P, j):
 
 def _fold(A, insert):
     """Fold the biword of A through insert(P, i, j) -> (P, chain); the
-    recording rows take the top letter i at each new cell.  Returns (P, Q)."""
+    recording rows take the top letter i at each new cell.  Both insertions
+    end their chain by appending to the row it names.  Returns (P, Q)."""
     P = ()
     Q = []
     for i, j in biword_from_matrix(A):
         P, chain = insert(P, i, j)
-        c, r = chain[-1]
+        r = chain[-1][1]
         while len(Q) < r:
             Q.append([])
-        if len(Q[r - 1]) != c - 1:
-            raise AssertionError("new cell not at the end of its row")
         Q[r - 1].append(i)
     return P, tuple(tuple(r) for r in Q)
 
@@ -83,35 +85,32 @@ def rsk(A):
     return _fold(A, lambda P, i, j: rsk_insert_trace(P, j))
 
 
-def _uninsert(rows, r):
-    """Reverse the bumping chain that ended by appending the last cell of row
-    r; returns the expelled bottom value."""
-    v = rows[r - 1].pop()
-    for t in range(r - 1, 0, -1):
-        row = rows[t - 1]
-        pos = max(idx for idx, val in enumerate(row) if val > v)
-        row[pos], v = v, row[pos]
-    return v
-
-
 def rsk_inverse(P, Q, n=None):
-    """Recover the matrix from a (reverse SSYT, SSYT) pair of equal shape.
-
-    Every such pair is an RSK image, and the last cell row insertion added
-    holds Q's largest entry at the end of the longest row ending in it: pop
-    that cell, unbump P from its row, and the pairs come off the biword in
-    reverse canonical order."""
+    """Recover the matrix from a (reverse SSYT, SSYT) pair of equal shape,
+    which is always an RSK image.  Rejects other pairs and a bad window n."""
     if not is_member(P, "rSSYT") or not is_member(Q, "SSYT"):
         raise ValueError("need a reverse SSYT and an SSYT")
     if shape_of(P) != shape_of(Q):
         raise ValueError("tableau shapes differ")
+    return _unfold(P, Q, n)
+
+
+def _unfold(P, Q, n):
+    """The matrix of the RSK pair (P, Q), unchecked.  The last cell row
+    insertion added holds Q's largest entry at the end of the longest row
+    ending in it: pop that cell, reverse its bumping chain down through P,
+    and the pairs come off the biword in reverse canonical order."""
     P = [list(r) for r in P]
     Q = [list(r) for r in Q]
     pairs = []
     while any(Q):
         r = max((t for t, row in enumerate(Q, 1) if row),
                 key=lambda t: (Q[t - 1][-1], len(Q[t - 1])))
-        pairs.append((Q[r - 1].pop(), _uninsert(P, r)))
+        i, j = Q[r - 1].pop(), P[r - 1].pop()
+        for row in reversed(P[:r - 1]):
+            pos = max(t for t, v in enumerate(row) if v > j)
+            row[pos], j = j, row[pos]
+        pairs.append((i, j))
     pairs.reverse()
     return matrix_from_biword(pairs, n)
 
@@ -183,19 +182,17 @@ def frsk_inverse(S, T):
     Flagged insertion moves column sets exactly as classical insertion does,
     so (tau(S), rho(T)) == rsk(L) for every lower triangular L, and tau and
     rho are one-to-one on fillings of one shape (tau_dagger and rho_inverse
-    undo them).  Once (S, T) is known to be an (SSKT, rSSAF) pair of one
-    shape, L is the classical inverse of those images.  Rejects pairs
-    outside the image."""
+    undo them).  Rejects pairs outside the image.  Every (SSKT, rSSAF) pair
+    of one shape is the image of some L (S. Mason, Sem. Lothar. Combin. 57,
+    2008, B57e), so once (S, T) is known to be one, its images are an RSK
+    pair, not checked again, and their classical inverse is L."""
     n = max(len(S), len(T))
     S, T = pad_rows(S, n), pad_rows(T, n)
     if shape_of(S) != shape_of(T):
         raise ValueError("fillings have different shapes")
     if not is_member(S, "SSKT", n) or not is_member(T, "rSSAF", n):
         raise ValueError("pair is not an (SSKT, rSSAF) pair")
-    M = rsk_inverse(tau(S), rho(T), n)
-    if not is_lower_triangular(M):
-        raise ValueError("recovered matrix is not lower triangular")
-    return M
+    return _unfold(tau(S), rho(T), n)
 
 
 def pad_rows(rows, n):

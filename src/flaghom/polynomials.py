@@ -10,14 +10,20 @@ term order used for serialization is graded lexicographic on the exponent
 vectors.
 """
 
-from .compositions import pad, strip
+from .compositions import as_comp, pad, strip
 
 
 class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = self.from_terms(terms.items() if terms else ()).terms
+        """Rejects an exponent that is not a weak composition and a
+        coefficient that is not an int."""
+        terms = terms or {}
+        for coef in terms.values():
+            if type(coef) is not int:
+                raise ValueError(f"non-integer coefficient {coef!r}")
+        self.terms = self.from_terms((as_comp(e), c) for e, c in terms.items()).terms
 
     @classmethod
     def from_terms(cls, pairs):
@@ -68,7 +74,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Poly({(): other})
+            other = Poly.from_terms([((), other)])
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __add__(self, other):

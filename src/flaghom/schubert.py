@@ -2,7 +2,7 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
-from .compositions import as_comp
+from .compositions import as_comp, as_window
 from .permutations import check_perm, covers, pad_perm, strip_fixed
 from .polynomials import Poly, divided_difference
 
@@ -86,9 +86,9 @@ def _schubert_poly(w):
 
 def schubert_oracle(w, n):
     """The Schubert polynomial of w, which must fit in x_1..x_n, i.e. w can
-    permute [m] only for m <= n + 1."""
+    permute [m] only for m <= n + 1.  Rejects what as_window rejects of n."""
     w = check_perm(w)
-    if len(w) > n + 1:
+    if len(w) > as_window(n) + 1:
         raise ValueError(f"{w} needs more than {n} variables")
     return _schubert_poly(w)
 

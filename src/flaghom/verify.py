@@ -506,6 +506,4 @@ SUITES = {
 
 
 def run_suite(name, n=None, deg=None):
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](n=n, deg=deg)

@@ -175,11 +175,21 @@ def test_bruhat_ideal_of_a_partition_and_of_its_reverse(parts):
 
 @pytest.mark.parametrize("expand, b", [(expand_h_into_keys, (0, 1)),
                                        (expand_h_into_atoms, (1, 1)),
-                                       (expand_key_into_h, (1, 1))])
+                                       (expand_key_into_h, (1, 1)),
+                                       (h_flagged, (0, 1)),
+                                       (build_Da, (0, 1)),
+                                       (key_polynomial, (0, 1)),
+                                       (demazure_atom, (0, 1))])
 def test_expansions_reject_a_window_shorter_than_the_index(expand, b):
     # each once returned a wrong expansion on one variable
     with pytest.raises(ValueError):
         expand(b, 1)
+    # a window that is not an integer >= 0: h_flagged and expand_key_into_h
+    # once answered n = 1.5, build_Da took True as 1, and the others raised
+    # TypeError on 1.5
+    for n in (1.5, True, -1):
+        with pytest.raises(ValueError):
+            expand((1,), n)
 
 
 @pytest.mark.parametrize("fn", [key_polynomial, demazure_atom, h_flagged, build_Da,

@@ -51,6 +51,10 @@ def test_statistics_of_pinned_fillings():
     assert (st.maj, st.coinv, st.attacking_violations) == (0, 0, 0)
     st = statistics(ref.RSSAF_FIG, 7)
     assert (st.comaj, st.inv, st.attacking_violations) == (0, 0, 0)
+    # windows of True and -1 were once read as no window, 1.5 a TypeError
+    for n in (1.5, True, -1):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            statistics(((1,),), n)
 
 
 def test_statistics_ascent():
@@ -85,6 +89,10 @@ def test_membership_examples():
     assert not is_member(((1,), (2, 5)), "rSSAF", 2)
     assert not is_member(((1,), (3,)), "SSYT", 2)
     assert not is_member(((True,),), "SSKT", 1)
+    # a window of 1.5 once admitted the entry 1
+    for n in (1.5, True, -1):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            is_member(((1,),), "SSKT", n)
     with pytest.raises(ValueError):
         is_member(((1,),), "no-such-flavor")
 
@@ -97,6 +105,10 @@ def test_enumerate_examples():
     assert enumerate_fillings((), 2, "SSYT") == [()]
     with pytest.raises(ValueError, match="unknown flavor"):
         enumerate_fillings((1, 1), 2, "SSAF")
+    # n = True was once read as 1, and n = 1.5 or None raised TypeError
+    for n in (1.5, True, -1, None):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            enumerate_fillings((1,), n, "SSYT")
     with pytest.raises(ValueError, match="not a partition"):
         enumerate_fillings((1, 2), 2, "SSYT")
 
@@ -182,6 +194,10 @@ def test_weight_of_rejects_entries_outside_the_window(rows):
     # ((0,),) was once counted at index -1 as (0, 1); ((3,),) raised IndexError
     with pytest.raises(ValueError, match=f"entry {rows[0][0]} outside"):
         weight_of(rows, 2)
+    # a window of True was once read as 1, and 1.5 raised TypeError
+    for n in (1.5, True, -1):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            weight_of(((1,),), n)
 
 
 def test_row_monotonicity_characterizes_descent_stats():

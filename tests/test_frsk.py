@@ -1,3 +1,4 @@
+import importlib
 from itertools import product
 
 import pytest
@@ -33,6 +34,15 @@ def lower_triangular_matrices(n, total):
             go(idx + 1, left - v, acc + [v])
 
     go(0, total, [])
+    return out
+
+
+def fillings_with_entries(shape, values):
+    """Every filling of the given row lengths with entries from values."""
+    out = []
+    for vals in product(values, repeat=sum(shape)):
+        entries = iter(vals)
+        out.append(tuple(tuple(next(entries) for _ in range(part)) for part in shape))
     return out
 
 
@@ -201,6 +211,16 @@ def test_inverse_rejects_bad_pairs():
             matrix_from_biword([(1, bad)])
     with pytest.raises(ValueError):
         matrix_from_biword([(3, 1)], 2)
+    # a bool letter was once read as 1, and a float letter or window raised
+    # TypeError; rsk_inverse took the window True as 1
+    for pairs in ([(True, 1)], [(1, 1.0)]):
+        with pytest.raises(ValueError, match="letter is not an integer"):
+            matrix_from_biword(pairs)
+    for n in (1.5, True, -1):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            matrix_from_biword([(1, 1)], n)
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            rsk_inverse(((1,),), ((1,),), n)
     # P must be a reverse SSYT and Q an SSYT
     for P, Q in [(((1, 2),), ((1, 2),)), (((1,), (2,)), ((1,), (2,)))]:
         with pytest.raises(ValueError):
@@ -210,12 +230,7 @@ def test_inverse_rejects_bad_pairs():
     inverted = 0
     for k in range(5):
         for shape in partitions_of(k):
-            fillings = []
-            for vals in product((1, 2, 3), repeat=k):
-                entries = iter(vals)
-                fillings.append(tuple(tuple(next(entries) for _ in range(part))
-                                      for part in shape))
-            for P, Q in product(fillings, repeat=2):
+            for P, Q in product(fillings_with_entries(shape, (1, 2, 3)), repeat=2):
                 try:
                     M = rsk_inverse(P, Q)
                 except ValueError:
@@ -235,11 +250,31 @@ def test_inverse_rejects_bad_pairs():
                     assert rsk(rsk_inverse(P, Q)) == (P, Q), (P, Q)
                     inverted += 1
     assert inverted == 20_349  # the 4 x 4 natural matrices of sum at most 5
+    # every equal-shape pair of fillings of 3-part compositions with at most
+    # three cells and entries in [3] is either rejected or inverted to a
+    # lower triangular matrix that maps back to it
+    inverted = refused = 0
+    for k in range(4):
+        for a in compositions_of(k, 3):
+            for S, T in product(fillings_with_entries(a, (1, 2, 3)), repeat=2):
+                try:
+                    L = frsk_inverse(S, T)
+                except ValueError:
+                    refused += 1
+                    continue
+                assert frsk(L) == (S, T), (S, T)
+                inverted += 1
+    assert (inverted, refused) == (84, 7_720)
 
 
-def test_every_small_pair_is_an_image():
+def test_every_small_pair_is_an_image(monkeypatch):
     # from the pair side: each equal-shape (SSKT, rSSAF) pair comes from
-    # exactly the matrix that frsk_inverse returns
+    # exactly the matrix that frsk_inverse returns, after one membership
+    # check of S and one of T: the images are not checked again
+    calls = []
+    # the package exports the function frsk under the module's name
+    monkeypatch.setattr(importlib.import_module("flaghom.frsk"), "is_member",
+                        lambda *args: calls.append(args) or is_member(*args))
     count = 0
     for n in range(1, 5):
         for d in range(5):
@@ -250,6 +285,7 @@ def test_every_small_pair_is_an_image():
                         assert frsk(frsk_inverse(S, T)) == (S, T), (S, T)
                         count += 1
     assert count == 1251
+    assert len(calls) == 2 * count
 
 
 def test_insertion_commutes_with_column_stack():

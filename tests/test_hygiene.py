@@ -1,7 +1,9 @@
 """Source hygiene: every import of a library module sits at module level,
 every name it imports is used in it, every top-level function and class
 of a library module is referred to by name somewhere in the package or the
-tests, outside its own body, and every module-level cache is bounded.
+tests, outside its own body, every module-level cache is bounded, and no
+library code raises AssertionError: a condition a theorem guarantees is
+checked by the tests, not by a branch that never runs.
 Test-only code lives in ``tests/oracles.py``: every library definition is
 also reached without the tests, from the package, its exported API, or the
 benchmark.
@@ -138,6 +140,25 @@ def test_no_definition_is_reached_only_by_tests(path, perfbench):
                          (PACKAGE / "__init__.py").read_text(),
                          (p.read_text() for p in PERFBENCH.glob("*.py")), tracer.LAYERS)
     assert unreferenced_definitions(path.read_text(), used) == []
+
+
+def assertion_raises(source):
+    """Lines that raise AssertionError, called or not."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and "AssertionError" in {n.id for n in ast.walk(node.exc)
+                                           if isinstance(n, ast.Name)})
+
+
+def test_detects_a_raised_assertion_error():
+    source = ("def f(x):\n    if x:\n        raise AssertionError('x')\n"
+              "    raise AssertionError\n\ndef g():\n    raise ValueError\n")
+    assert assertion_raises(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assertion_error_is_raised(path):
+    assert assertion_raises(path.read_text()) == []
 
 
 def module_caches(source):

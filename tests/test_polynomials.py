@@ -26,6 +26,18 @@ def test_from_terms_cancels_merges_and_starts_at_zero():
     assert Poly.from_terms(iter(())).terms == {}
 
 
+def test_constructor_rejects_bad_terms():
+    # x1*x2^-1 was once stored and printed as x1*x2, and 1.5*x1 kept
+    for terms in [{(1, -1): 1}, {(1.0,): 1}, {(True,): 1}, {(1,): 1.5}, {(1,): True}]:
+        with pytest.raises(ValueError):
+            Poly(terms)
+    with pytest.raises(ValueError, match="negative part"):
+        Poly.monomial((1, -1))
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        Poly.monomial((1,), 0.5)
+    assert Poly({(1, 0): 2, (0,): 0}).terms == {(1,): 2}
+
+
 def test_from_terms_matches_repeated_monomial_sum():
     closure = kohnert_closure(build_Da((1, 0, 2)))
     want = Poly.zero()
@@ -96,6 +108,11 @@ def test_express_roundtrip_and_rejection():
     assert recombined == p
     with pytest.raises(ValueError):
         express_in_basis(Poly.variable(3), h_basis_family([1], 2))
+    # a window of 1.5 once raised TypeError, and -1 an itertools message
+    for family_of in (h_basis_family, key_basis_family):
+        for n in (1.5, True, -1):
+            with pytest.raises(ValueError, match="is not an integer >= 0"):
+                family_of([1], n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -117,6 +117,10 @@ def test_oracle_rejects_a_non_permutation():
     # once raised StopIteration
     with pytest.raises(ValueError):
         schubert_oracle((2, 2), 3)
+    # a window of 1.5 once gave x1, and -1 gave 1 for the identity
+    for w, n in [((2, 1), 1.5), ((2, 1), True), ((), -1)]:
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            schubert_oracle(w, n)
 
 
 def test_h_expansion_rejects_non_integer_parts():

@@ -334,6 +334,10 @@ def test_gset_examples():
     assert not in_gset(frozenset({(1, 1)}), ((1, 1),), (2,))
     with pytest.raises(ValueError, match="not a special snake"):
         gset_enumerate(frozenset({(2, 1)}), (2, 0))
+    # the empty snake is special, and leaves the SSKT of the whole diagram
+    assert is_special_snake(frozenset(), (2, 0))
+    assert gset_enumerate(frozenset(), (2, 0)) == [((1, 1), ())]
+    assert gset_enumerate(frozenset(), (0, 1)) == [((), (1,)), ((), (2,))]
 
 
 def test_gset_generating_function():
