@@ -8,7 +8,7 @@ from itertools import combinations
 from .compositions import (as_comp, as_window, compositions_of, dominance_key,
                            partitions_of, rev, strip)
 from .fillings import enumerate_fillings, weight_of
-from .frsk import rho_inverse
+from .frsk import _rho_inverse
 from .polynomials import Poly, sorted_terms
 
 
@@ -103,13 +103,14 @@ def kostka(lam, b):
 
 @dataclass
 class BasisExpansion:
-    """Integer coefficients of an element against a named target basis."""
+    """Integer coefficients of an element against a named target basis;
+    indices equal up to trailing zeros are summed, as Poly exponents are."""
 
     basis: str
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {strip(k): v for k, v in self.terms.items() if v}
+        self.terms = Poly.from_terms(self.terms.items()).terms
 
     def coefficient(self, index):
         return self.terms.get(strip(index), 0)
@@ -142,14 +143,15 @@ def _key_counts(b, n):
     SSYT of weight b, and rho_inverse undoes that stacking (S. Mason, "An
     explicit construction of type A Demazure atoms", J. Algebraic Combin.
     29, 2009).  So tally the shapes of rho_inverse(Q) over the SSYT Q of
-    weight b.  Rejects what as_comp rejects."""
+    weight b, unchecked, since enumerate_fillings lists only SSYT.  Rejects
+    what as_comp rejects."""
     b = as_comp(b, n)
     n = max(len(strip(b)), 1) if n is None else n
     counts = Counter()
     for lam in partitions_of(sum(b)):
         if len(lam) <= n:
             for Q in enumerate_fillings(lam, n, "SSYT", weight=b):
-                counts[tuple(map(len, rho_inverse(Q, n)))] += 1
+                counts[tuple(map(len, _rho_inverse(Q, n)))] += 1
     return counts
 
 

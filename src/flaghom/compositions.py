@@ -90,9 +90,11 @@ def dominance_key(a, n):
 
 def key_poset_leq(a, b):
     """Key-poset comparison: a_i <= b_i for all i, and every strict descent
-    a_i > a_j (i < j) forces the strict descent b_i > b_j."""
+    a_i > a_j (i < j) forces the strict descent b_i > b_j.  Rejects what
+    as_comp rejects."""
+    a, b = as_comp(a), as_comp(b)
     n = max(len(a), len(b))
-    a, b = pad(tuple(a), n), pad(tuple(b), n)
+    a, b = pad(a, n), pad(b, n)
     if any(a[i] > b[i] for i in range(n)):
         return False
     for i, j in combinations(range(n), 2):

@@ -83,10 +83,13 @@ def statistics(rows, n=None):
     n is the ambient window (basement size); it defaults to the number of
     declared rows but must be passed explicitly whenever the window exceeds
     the shape, since rows above the shape still attack and form triples.
+    Rejects a row that as_comp rejects, an entry outside [n] and what
+    as_window rejects of n.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(map(as_comp, rows))
     shape = shape_of(rows)
     n = max(len(rows), 0 if n is None else as_window(n))
+    weight_of(rows, n)
     a = pad(shape, n)
 
     def entry(c, r):

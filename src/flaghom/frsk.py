@@ -257,29 +257,30 @@ def tau_dagger(P, a):
 
 
 def rho_inverse(Q, n=None):
-    """Rebuild the rSSAF with the column sets of the SSYT Q: columns left to
-    right, entries smallest first, each into the topmost position immediately
-    right of a weakly lesser entry (basement allowed)."""
-    cols = _column_multisets(Q)
-    width = max(cols, default=0)
-    top = max((max(v) for v in cols.values()), default=0)
-    n = top if n is None else n
-    if type(n) is not int:
-        raise ValueError(f"ambient {n!r} is not an integer")
+    """The rSSAF in the window n (default: the largest entry) with the column
+    sets of the SSYT Q.  Rejects a Q that is not an SSYT and a window that is
+    not an int >= its largest entry."""
+    if not is_member(Q, "SSYT"):
+        raise ValueError("Q is not an SSYT")
+    top = max((max(r) for r in Q if r), default=0)
+    n = top if n is None else as_window(n)
     if n < top:
         raise ValueError(f"ambient {n} smaller than the largest entry")
+    return _rho_inverse(Q, n)
+
+
+def _rho_inverse(Q, n):
+    """rho_inverse(Q, n), unchecked: columns left to right, entries smallest
+    first, each into the topmost position immediately right of a weakly lesser
+    entry (basement allowed).  For an SSYT Q with entries in [n] such a
+    position always exists."""
+    cols = _column_multisets(Q)
     rows = [[] for _ in range(n)]
-    for c in range(1, width + 1):
+    for c in range(1, max(cols, default=0) + 1):
         for e in sorted(cols[c]):
-            spot = None
             for r in range(n, 0, -1):
-                if len(rows[r - 1]) != c - 1:
-                    continue
-                left = r if c == 1 else rows[r - 1][c - 2]
-                if left <= e:
-                    spot = r
+                row = rows[r - 1]
+                if len(row) == c - 1 and (r if c == 1 else row[c - 2]) <= e:
+                    row.append(e)
                     break
-            if spot is None:
-                raise ValueError("no admissible position; not an SSYT column stack")
-            rows[spot - 1].append(e)
     return tuple(tuple(r) for r in rows)

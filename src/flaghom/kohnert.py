@@ -12,6 +12,7 @@ no visited set of the whole closure.  ``kohnert_moves`` is the oracle."""
 from collections import Counter, defaultdict
 
 from .compositions import as_comp, as_matrix, is_lower_triangular
+from .fillings import weight_of
 from .polynomials import Poly
 
 
@@ -28,12 +29,9 @@ def diagram(cells):
 
 
 def diagram_weight(D, n=None):
-    """Cells per row, as a composition of length n."""
-    n = max((r for _, r in D), default=0) if n is None else n
-    counts = [0] * n
-    for _, r in D:
-        counts[r - 1] += 1
-    return tuple(counts)
+    """Cells per row, as a composition of length n (default: the highest
+    row); rejects what weight_of rejects of the rows."""
+    return weight_of([[r for _, r in D]], n)
 
 
 def is_southwest(D):
@@ -48,7 +46,9 @@ def is_southwest(D):
 
 def kohnert_moves(D):
     """All diagrams reached by one move: drop the rightmost cell of some row
-    to the topmost vacant position strictly below it in its column."""
+    to the topmost vacant position strictly below it in its column.
+    Rejects what diagram rejects."""
+    D = diagram(D)
     out = set()
     rows = {}
     for c, r in D:
@@ -120,7 +120,7 @@ def phi(T, a):
     row j within the column window of part i.  Rejects diagrams outside the
     closure of the staircase diagram of a: T must be what phi_inverse builds
     back from that matrix."""
-    a = tuple(a)
+    a = as_comp(a)
     n = len(a)
     part_of = _window_parts(a)
     M = [[0] * n for _ in range(n)]
@@ -139,7 +139,7 @@ def phi_inverse(L, a):
     fill rows i, i-1, ..., 1 from the left with multiplicities given by the
     ith matrix row read backwards.  The windows follow one another, so the
     rows of L, each read backwards, list the row of the cell in each column."""
-    a, L = tuple(a), as_matrix(L)
+    a, L = as_comp(a), as_matrix(L)
     n = len(a)
     if len(L) != n or not is_lower_triangular(L):
         raise ValueError(f"matrix is not {n} x {n} lower triangular")

@@ -25,17 +25,15 @@ class Poly:
                 raise ValueError(f"non-integer coefficient {coef!r}")
         self.terms = self.from_terms((as_comp(e), c) for e, c in terms.items()).terms
 
-    @classmethod
-    def from_terms(cls, pairs):
+    @staticmethod
+    def from_terms(pairs):
         """Sum an iterable of (exponent, coef) pairs in one dict; exponents
         equal up to trailing zeros merge and zero sums are dropped."""
         out = {}
         for exp, coef in pairs:
             exp = strip(exp)
             out[exp] = out.get(exp, 0) + coef
-        p = cls.__new__(cls)
-        p.terms = {e: c for e, c in out.items() if c}
-        return p
+        return _poly(out)
 
     @classmethod
     def zero(cls):
@@ -63,69 +61,49 @@ class Poly:
         return self.terms.get(strip(exp), 0)
 
     def homogeneous_part(self, d):
-        return Poly({e: c for e, c in self.terms.items() if sum(e) == d})
+        return _poly({e: c for e, c in self.terms.items() if sum(e) == d})
 
     def restrict_vars(self, k):
         """Set every variable beyond x_k to zero."""
-        return Poly({e: c for e, c in self.terms.items() if len(e) <= k})
+        return _poly({e: c for e, c in self.terms.items() if len(e) <= k})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.from_terms([((), other)])
-        return isinstance(other, Poly) and self.terms == other.terms
+        try:
+            return self.terms == _operand(other).terms
+        except ValueError:
+            return False
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly({(): other})
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        for e, c in _operand(other).terms.items():
+            out[e] = out.get(e, 0) + c
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly({(): other})
-        return self + (-other)
+        return self + (-_operand(other))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Poly()
-            p = Poly.__new__(Poly)
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+        other = _operand(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = mul_exps(e1, e2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                out[e] = out.get(e, 0) + c1 * c2
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if type(k) is not int:
+            raise ValueError(f"power {k!r} is not an integer")
         if k < 0:
             raise ValueError("negative power")
         result = Poly.one()
@@ -155,6 +133,24 @@ class Poly:
                 bits.append(f"{coef}*{body}")
         text = " + ".join(bits).replace("+ -", "- ")
         return text
+
+
+def _poly(terms):
+    """The Poly holding a dict keyed by stripped exponents, less its zero
+    coefficients; every Poly but a checked Poly(...) is built here."""
+    p = Poly.__new__(Poly)
+    p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+    return p
+
+
+def _operand(other):
+    """The other operand of Poly arithmetic and ==: a Poly as it is, an int
+    (not a bool) as a constant; anything else raises ValueError."""
+    if isinstance(other, Poly):
+        return other
+    if type(other) is not int:
+        raise ValueError(f"cannot combine a Poly with {other!r}")
+    return _poly({(): other})
 
 
 def mul_exps(e1, e2):

@@ -284,8 +284,9 @@ def validate_special_snake_tabloid(b, snakes):
 
 
 def inverse_ktilde(a, b):
-    """Signed count of special snake tabloids of shape b and weight a."""
-    return expand_key_into_h(b).coefficient(a)
+    """Signed count of special snake tabloids of shape b and weight a.
+    Rejects what as_comp rejects of either."""
+    return expand_key_into_h(b).coefficient(as_comp(a))
 
 
 def expand_key_into_h(b, n=None):
@@ -362,8 +363,9 @@ def enumerate_special_rim_hook_tabloids(mu):
 
 def gset_enumerate(S, b):
     """Fillings of D(b) that are 1 on the special snake S and restrict to an
-    SSKT in the window len(b) on the complement key diagram."""
-    b = tuple(b)
+    SSKT in the window len(b) on the complement key diagram.  Rejects what
+    as_comp rejects of b."""
+    b = as_comp(b)
     S = frozenset(S)
     if not is_special_snake(S, b):
         raise ValueError("not a special snake of the diagram")

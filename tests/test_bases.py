@@ -209,6 +209,12 @@ def test_expansions_reject_negative_parts(expand):
         expand((-1,))
 
 
+def test_expansion_sums_indices_equal_up_to_trailing_zeros():
+    # the later of two such indices once overwrote the earlier
+    assert BasisExpansion("key", {(1,): 2, (1, 0): 3}).terms == {(1,): 5}
+    assert BasisExpansion("key", {(1,): 2, (1, 0): -2}).terms == {}
+
+
 def test_expansion_json_is_sorted():
     data = expand_h_into_keys((1, 1)).to_json()
     assert data == {

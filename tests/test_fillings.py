@@ -55,6 +55,10 @@ def test_statistics_of_pinned_fillings():
     for n in (1.5, True, -1):
         with pytest.raises(ValueError, match="is not an integer >= 0"):
             statistics(((1,),), n)
+    # the entry 0 once counted as a descent below the basement, comaj = 1
+    for rows in [((0,),), ((2,),), ((True,),), ((1.5,),)]:
+        with pytest.raises(ValueError):
+            statistics(rows, 1)
 
 
 def test_statistics_ascent():

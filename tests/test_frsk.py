@@ -113,9 +113,11 @@ def test_rho_single_cell():
     for n in [1.5, True]:
         with pytest.raises(ValueError, match="is not an integer"):
             rho_inverse(((1,),), n)
-    # two 1s in one column: the second finds no row of length 0 above a 1
-    with pytest.raises(ValueError, match="not an SSYT column stack"):
-        rho_inverse(((1,), (1,)))
+    # two 1s in one column, and a column decreasing upward, which was once
+    # rebuilt as ((1,), (2,)), whose rho is not Q
+    for Q in [((1,), (1,)), ((2,), (1,))]:
+        with pytest.raises(ValueError, match="Q is not an SSYT"):
+            rho_inverse(Q)
 
 
 def test_tau_dagger_detects_non_images():

@@ -3,7 +3,9 @@ every name it imports is used in it, every top-level function and class
 of a library module is referred to by name somewhere in the package or the
 tests, outside its own body, every module-level cache is bounded, and no
 library code raises AssertionError: a condition a theorem guarantees is
-checked by the tests, not by a branch that never runs.
+checked by the tests, not by a branch that never runs.  No library code
+calls ``__new__`` outside ``polynomials._poly``, so every Poly that the
+checked ``Poly(...)`` does not make comes from that one builder.
 Test-only code lives in ``tests/oracles.py``: every library definition is
 also reached without the tests, from the package, its exported API, or the
 benchmark.
@@ -159,6 +161,29 @@ def test_detects_a_raised_assertion_error():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assertion_error_is_raised(path):
     assert assertion_raises(path.read_text()) == []
+
+
+def new_calls(source):
+    """Lines that call some __new__ outside the body of a function _poly."""
+    tree = ast.parse(source)
+    builder = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and f.name == "_poly" for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__" and id(node) not in builder)
+
+
+def test_detects_a_call_to_new_outside_the_builder():
+    source = ("def _poly(terms):\n    p = Poly.__new__(Poly)\n    return p\n\n"
+              "class Poly:\n    @classmethod\n    def zero(cls):\n"
+              "        return cls.__new__(cls)\n\n"
+              "def copy(p):\n    return object.__new__(type(p))\n")
+    assert new_calls(source) == [8, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_poly_is_built_by_one_builder(path):
+    assert new_calls(path.read_text()) == []
 
 
 def module_caches(source):

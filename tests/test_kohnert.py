@@ -113,6 +113,13 @@ def test_phi_rejects_outside_closure():
         phi_inverse(((0, 1), (1, 0)), (1, 1))
     with pytest.raises(ValueError):
         phi_inverse(((1, 0), (-1, 1)), (1, 0))  # a negative entry
+    # phi_inverse once took the part True as 1, and phi failed on 1.5 with a
+    # TypeError
+    for a in [(True,), (1.5,), (-1,)]:
+        with pytest.raises(ValueError):
+            phi_inverse(((1,),), a)
+        with pytest.raises(ValueError):
+            phi(frozenset({(1, 1)}), a)
 
 
 def test_character_identity_small():
@@ -133,6 +140,13 @@ def test_entry_points_reject_cells_off_the_grid():
         kohnert_closure({(1.5, 2.9)})
     with pytest.raises(ValueError):
         kohnert_closure({(True, True)})
+    # the moves of {(0, 1)} were once the empty set, and a cell in row 0
+    # raised IndexError in diagram_weight or was counted in the top row
+    with pytest.raises(ValueError):
+        kohnert_moves({(0, 1)})
+    for D in [{(1, 0)}, {(1, 0), (1, 2)}]:
+        with pytest.raises(ValueError, match="outside"):
+            diagram_weight(D)
 
 
 def test_diagram_rejects_a_cell_listed_twice():

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,24 @@ def test_multiplication():
     assert p * Poly.one() == p
     assert p * 1 == p
     assert (p * 0).is_zero()
+    assert 3 * p == p * 3 == p + p + p
+    assert (p + 1).terms == {**p.terms, (): 1}
+    assert (p - 1).terms == {**p.terms, (): -1}
+
+
+@pytest.mark.parametrize("other", [True, 1.5, "1", None])
+def test_an_operand_is_a_poly_or_an_int(other):
+    # * 1.5 once raised AttributeError, * True acted as * 1, + True raised
+    # ValueError through the checked constructor and == True held
+    one = Poly.one()
+    for op in [operator.add, operator.sub, operator.mul]:
+        with pytest.raises(ValueError, match="cannot combine"):
+            op(one, other)
+    for op in [operator.add, operator.mul]:
+        with pytest.raises(ValueError, match="cannot combine"):
+            op(other, one)
+    assert (one == other) is False and one != other
+    assert (one == 1) is True
 
 
 def test_coefficient():
@@ -166,6 +186,10 @@ def test_scalars_powers_and_repr():
     assert bool(X1) and not Poly.zero()
     with pytest.raises(ValueError, match="negative power"):
         X1 ** -1
+    # ** True once acted as ** 1
+    for k in [True, 1.5]:
+        with pytest.raises(ValueError, match="not an integer"):
+            X1 ** k
     assert repr(-X1) == "-x1"
     assert repr(X2 - X1 ** 2 * X2) == "x2 - x1^2*x2"
     assert repr(X1 * X2 - 3 * X1 + 2) == "2 - 3*x1 + x1*x2"

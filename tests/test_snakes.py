@@ -424,6 +424,15 @@ def test_tabloids_reject_negative_parts():
         enumerate_special_snake_tabloids((2, -1))
     with pytest.raises(ValueError):
         special_snakes((2, -1))
+    # inverse_ktilde once read the weight (True,) as (1,), key_poset_leq
+    # once held (-1,) below (1,), and gset_enumerate once listed one filling
+    # of the shape (-1,)
+    for bad in [(-1,), (1.5,), (True,)]:
+        for call in [lambda: inverse_ktilde(bad, (1,)), lambda: inverse_ktilde((1,), bad),
+                     lambda: key_poset_leq(bad, (1,)), lambda: key_poset_leq((1,), bad),
+                     lambda: gset_enumerate(frozenset(), bad)]:
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_iota_rejects_bad_inputs():
