@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .compositions import (as_comp, as_window, compositions_of, dominance_key,
-                           partitions_of, rev, strip)
+                           is_partition, pad, rev, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import _rho_inverse
 from .polynomials import Poly, sorted_terms
@@ -90,15 +90,43 @@ def ktilde(a, b):
 
 
 def ktilde_upper(a, b):
-    """Number of SSKT of shape rev(a) and weight rev(b) (0 on mismatch)."""
+    """Number of SSKT of shape rev(a) and weight rev(b) (0 on mismatch).
+    Rejects what as_comp rejects of a or b, as the caller wrote them."""
+    a, b = as_comp(a), as_comp(b)
     n = max(len(strip(a)), len(strip(b)), 1)
     return len(enumerate_fillings(rev(a, n), n, "SSKT", weight=rev(b, n)))
 
 
+def _ssyt_of_weight(b, n, outer=None):
+    """Every SSYT with entries in [n] and weight b, of shape inside the
+    partition outer if given, as a chain of horizontal strips (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. I §5): value v adds b_v
+    cells to rows r <= v, and a row grows at most to the length the row
+    below it had before v.  The rows fill top-down, so that length is still
+    in place when a row takes its cells.  Unchecked."""
+    limit = (sum(b),) * n if outer is None else pad(strip(outer), n)
+    found = [((),) * n]
+    for v, k in enumerate(pad(strip(b), n), start=1):
+        if not k:
+            continue
+        grown = [(Q, k) for Q in found]
+        for r in range(min(v, n) - 1, -1, -1):  # row r + 1 takes t cells, row 1 the rest
+            grown = [(Q[:r] + (Q[r] + (v,) * t,) + Q[r + 1:] if t else Q, left - t)
+                     for Q, left in grown
+                     for room in [(min(limit[r], len(Q[r - 1])) if r else limit[0]) - len(Q[r])]
+                     for t in range(0 if r else left, min(room, left) + 1)]
+        found = [Q for Q, _ in grown]
+    return [tuple(row for row in Q if row) for Q in found]
+
+
 def kostka(lam, b):
-    """Classical Kostka number: SSYT of shape lam and weight b."""
+    """Classical Kostka number: the strip chains of weight b inside lam.
+    Rejects what as_comp rejects, and a lam that is not a partition."""
+    lam, b = as_comp(lam), as_comp(b)
+    if not is_partition(lam):
+        raise ValueError(f"shape {lam} is not a partition")
     n = max(len(strip(lam)), len(strip(b)), 1)
-    return len(enumerate_fillings(lam, n, "SSYT", weight=b))
+    return len(_ssyt_of_weight(b, n, outer=lam)) if sum(lam) == sum(b) else 0
 
 
 @dataclass
@@ -143,16 +171,11 @@ def _key_counts(b, n):
     SSYT of weight b, and rho_inverse undoes that stacking (S. Mason, "An
     explicit construction of type A Demazure atoms", J. Algebraic Combin.
     29, 2009).  So tally the shapes of rho_inverse(Q) over the SSYT Q of
-    weight b, unchecked, since enumerate_fillings lists only SSYT.  Rejects
-    what as_comp rejects."""
+    weight b, unchecked, since the strip walk lists only SSYT.  Rejects what
+    as_comp rejects."""
     b = as_comp(b, n)
     n = max(len(strip(b)), 1) if n is None else n
-    counts = Counter()
-    for lam in partitions_of(sum(b)):
-        if len(lam) <= n:
-            for Q in enumerate_fillings(lam, n, "SSYT", weight=b):
-                counts[tuple(map(len, _rho_inverse(Q, n)))] += 1
-    return counts
+    return Counter(tuple(map(len, _rho_inverse(Q, n))) for Q in _ssyt_of_weight(b, n))
 
 
 def expand_h_into_keys(b, n=None):

@@ -90,6 +90,9 @@ class Poly:
     def __sub__(self, other):
         return self + (-_operand(other))
 
+    def __rsub__(self, other):
+        return _operand(other) + (-self)
+
     def __mul__(self, other):
         other = _operand(other)
         out = {}

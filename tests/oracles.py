@@ -4,16 +4,18 @@ Each one computes by the definition what the library computes by a faster or
 more structured route, and shares no code with that route: the naive filling
 filter, the dominance order behind `dominance_key`, relabelling of supports,
 the lift of a square matrix into the lower triangle, the Demazure
-operator recursion for keys and atoms, and the key-to-h expansion as a sum
-over listed snake tabloids.
+operator recursion for keys and atoms, the key-to-h expansion as a sum
+over listed snake tabloids, and the SSYT of one weight listed shape by shape.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import product
 
 from flaghom.bases import BasisExpansion
-from flaghom.compositions import as_comp, as_matrix, pad, strip
-from flaghom.fillings import statistics, weight_of
+from flaghom.compositions import as_comp, as_matrix, pad, partitions_of, strip
+from flaghom.fillings import enumerate_fillings, statistics, weight_of
+from flaghom.frsk import rho_inverse
 from flaghom.polynomials import Poly, divided_difference
 from flaghom.snakes import enumerate_special_snake_tabloids
 
@@ -115,3 +117,17 @@ def expand_key_into_h_by_tabloids(b, n=None):
         w = strip(U.weight())
         terms[w] = terms.get(w, 0) + U.sign()
     return BasisExpansion("h-flagged", terms)
+
+
+def ssyt_of_weight_by_shapes(b, n):
+    """The SSYT with entries in [n] and weight b, backtracked by
+    enumerate_fillings one partition of |b| at a time; the oracle of the
+    strip walk bases._ssyt_of_weight."""
+    return [Q for lam in partitions_of(sum(b)) if len(lam) <= n
+            for Q in enumerate_fillings(lam, n, "SSYT", weight=b)]
+
+
+def key_counts_by_shapes(b, n):
+    """bases._key_counts by the per-partition sweep: the shapes of
+    rho_inverse(Q) tallied over ssyt_of_weight_by_shapes(b, n)."""
+    return Counter(tuple(map(len, rho_inverse(Q, n))) for Q in ssyt_of_weight_by_shapes(b, n))

@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaghom.bases import (BasisExpansion, _bruhat_ideal, demazure_atom,
-                           expand_h_into_atoms, expand_h_into_keys, h_complete,
-                           h_flagged, h_flagged_matrix_oracle, h_sym,
-                           key_polynomial, kostka, ktilde, ktilde_upper,
-                           schur_ssyt)
+from flaghom.bases import (BasisExpansion, _bruhat_ideal, _key_counts,
+                           _ssyt_of_weight, demazure_atom, expand_h_into_atoms,
+                           expand_h_into_keys, h_complete, h_flagged,
+                           h_flagged_matrix_oracle, h_sym, key_polynomial,
+                           kostka, ktilde, ktilde_upper, schur_ssyt)
 from flaghom.compositions import compositions_of, pad, partitions_of, rev, sort_comp
-from flaghom.fillings import key_diagram
+from flaghom.fillings import enumerate_fillings, key_diagram
 from flaghom.kohnert import build_Da, kohnert_polynomial
 from flaghom.polynomials import Poly
 from flaghom.schubert import h_schubert_expansion
 from flaghom.snakes import expand_key_into_h
-from oracles import _demazure_by_operators
+from oracles import _demazure_by_operators, key_counts_by_shapes, ssyt_of_weight_by_shapes
 
 X1 = Poly.variable(1)
 X2 = Poly.variable(2)
@@ -102,6 +102,11 @@ def test_ktilde_examples(a, b, want):
 
 def test_ktilde_upper_partition_case_and_mismatch():
     assert ktilde_upper((2,), (3,)) == 0
+    # the refusal names the weight as given, not its reversal (-1, 3)
+    with pytest.raises(ValueError, match=r"negative part in \(3, -1\)"):
+        ktilde_upper((1, 1), (3, -1))
+    with pytest.raises(ValueError, match=r"negative part in \(-1, 2\)"):
+        ktilde_upper((-1, 2), (1,))
     for d in range(5):
         for lam in partitions_of(d):
             if len(lam) > 3:
@@ -128,6 +133,60 @@ def test_kostka_examples():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((2, 2), (2, 1, 1)) == 1
     assert kostka((3,), (1, 2)) == 1
+    assert kostka((2, 1, 0), (0, 1, 2)) == 1
+    assert kostka((1, 1), (2,)) == kostka((2,), (1,)) == 0
+
+
+@pytest.mark.parametrize("lam, b, message", [((1, 2), (1, 2), "not a partition"),
+                                             ((2, -1), (1,), "negative part"),
+                                             ((2,), (True, 1), "non-integer part")])
+def test_kostka_rejects_bad_input(lam, b, message):
+    with pytest.raises(ValueError, match=message):
+        kostka(lam, b)
+
+
+# every weak composition of at most 6 into at most four parts, with its window
+DESK = [(n, b) for n in range(5) for d in range(7) for b in compositions_of(d, n)]
+
+
+def test_strip_walk_lists_the_ssyt_of_each_weight():
+    for n, b in DESK:
+        assert sorted(_ssyt_of_weight(b, n)) == sorted(ssyt_of_weight_by_shapes(b, n)), b
+
+
+def test_kostka_counts_the_backtracked_ssyt():
+    for n, b in DESK:
+        for lam in partitions_of(sum(b)):
+            if len(lam) <= n:
+                want = len(enumerate_fillings(lam, n, "SSYT", weight=b))
+                assert kostka(lam, b) == want, (lam, b)
+
+
+def test_key_counts_match_the_per_partition_sweep():
+    for n, b in DESK:
+        assert _key_counts(b, n) == key_counts_by_shapes(b, n), b
+
+
+def _capped(parts, total=9):
+    """The parts, each cut down so that their sum stays at most total."""
+    out = []
+    for part in parts:
+        out.append(min(part, total))
+        total -= out[-1]
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 9), max_size=6).map(_capped))
+def test_strip_walk_beyond_the_desk_range(b):
+    n = len(b)
+    listed = {}
+    for lam in partitions_of(sum(b)):
+        if len(lam) <= n:
+            listed[lam] = enumerate_fillings(lam, n, "SSYT", weight=b)
+            assert kostka(lam, b) == len(listed[lam]), lam
+    assert sorted(_ssyt_of_weight(b, n)) == sorted(Q for rows in listed.values() for Q in rows)
+    assert _key_counts(b, n) == key_counts_by_shapes(b, n)
 
 
 def test_ktilde_refines_kostka():

@@ -6,6 +6,8 @@ library code raises AssertionError: a condition a theorem guarantees is
 checked by the tests, not by a branch that never runs.  No library code
 calls ``__new__`` outside ``polynomials._poly``, so every Poly that the
 checked ``Poly(...)`` does not make comes from that one builder.
+No library code lists SSYT of a fixed weight through ``enumerate_fillings``:
+the strip walk ``bases._ssyt_of_weight`` is their one implementation.
 Test-only code lives in ``tests/oracles.py``: every library definition is
 also reached without the tests, from the package, its exported API, or the
 benchmark.
@@ -184,6 +186,32 @@ def test_detects_a_call_to_new_outside_the_builder():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_poly_is_built_by_one_builder(path):
     assert new_calls(path.read_text()) == []
+
+
+def weighted_ssyt_calls(source):
+    """Lines that call enumerate_fillings with the flavor "SSYT" and a
+    weight, by keyword or as the fourth argument."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "enumerate_fillings"
+        and any(isinstance(arg, ast.Constant) and arg.value == "SSYT"
+                for arg in [*node.args, *(k.value for k in node.keywords)])
+        and (len(node.args) > 3 or any(k.arg == "weight" for k in node.keywords)))
+
+
+def test_detects_a_weighted_ssyt_listing():
+    source = ("enumerate_fillings(lam, n, 'SSYT', weight=b)\n"
+              "fillings.enumerate_fillings(lam, n, 'SSYT', b)\n"
+              "enumerate_fillings(lam, n, 'SSYT')\n"
+              "enumerate_fillings(a, n, 'rSSAF', weight=b)\n"
+              "enumerate_fillings(lam, n, flavor='SSYT', weight=b)\n")
+    assert weighted_ssyt_calls(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_weighted_ssyt_come_from_the_strip_walk(path):
+    assert weighted_ssyt_calls(path.read_text()) == []
 
 
 def module_caches(source):

@@ -63,16 +63,18 @@ def test_multiplication():
 @pytest.mark.parametrize("other", [True, 1.5, "1", None])
 def test_an_operand_is_a_poly_or_an_int(other):
     # * 1.5 once raised AttributeError, * True acted as * 1, + True raised
-    # ValueError through the checked constructor and == True held
+    # ValueError through the checked constructor and == True held; an int
+    # on the left of - once raised TypeError
     one = Poly.one()
     for op in [operator.add, operator.sub, operator.mul]:
         with pytest.raises(ValueError, match="cannot combine"):
             op(one, other)
-    for op in [operator.add, operator.mul]:
         with pytest.raises(ValueError, match="cannot combine"):
             op(other, one)
     assert (one == other) is False and one != other
     assert (one == 1) is True
+    assert 1 - X1 == -(X1 - 1) == Poly({(): 1, (1,): -1})
+    assert (3 - one) == 2 and (1 - one).is_zero()
 
 
 def test_coefficient():
