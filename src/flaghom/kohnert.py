@@ -7,13 +7,19 @@ columns, row r holds its cells in bits [(r - 1)C, rC) of one integer; the
 weight is one integer in base B = |D| + 1, digit r - 1 counting row r, so a
 move from row src to dest adds B^dest - B^src.  A move lowers the row sum, so
 the walk pops row-sum buckets from the highest down, each complete, and keeps
-no visited set of the whole closure.  ``kohnert_moves`` is the oracle."""
+no visited set of the whole closure.  ``kohnert_moves`` is the oracle.  A
+weight decodes by powers of B computed once, up to its top nonzero digit; each
+diagram's terms are memoized, and every call gets a fresh Poly."""
 
 from collections import Counter, defaultdict
 
 from .compositions import as_comp, as_matrix, is_lower_triangular
 from .fillings import weight_of
-from .polynomials import Poly
+from .polynomials import _poly
+
+_WEIGHT_CACHE_LIMIT = 1 << 15  # terms, over all entries; cleared before passing it
+_weight_cache = {}  # (exponent, count) pairs by diagram
+_weight_cache_terms = 0
 
 
 def diagram(cells):
@@ -61,8 +67,7 @@ def kohnert_moves(D):
 
 
 def _walk(D):
-    """Yield the cell of each bit, B and each row-sum bucket {diagram: weight}."""
-    D = diagram(D)
+    """Yield the cell of each bit, B and each row-sum bucket {diagram: weight} of checked D."""
     cols = sorted({c for c, _ in D})  # a move keeps its column
     C, R, B = len(cols), max((r for _, r in D), default=0), len(D) + 1
     full = (1 << C) - 1
@@ -83,24 +88,34 @@ def _walk(D):
                     c = row.bit_length() - 1  # the rightmost cell of row r
                     d = (below[c] & ~T).bit_length() - 1  # the highest vacancy below it
                     if d >= 0:
-                        buckets[s - r + d // C].setdefault(T ^ (1 << shift + c | 1 << d),
-                                                           w - src + power[d])
+                        buckets[s - r + d // C][T ^ (1 << shift + c | 1 << d)] = (
+                            w - src + power[d])
 
 
 def kohnert_closure(D):
     """Least set of diagrams containing D and closed under moves."""
     return {frozenset(cells[i] for i in range(T.bit_length()) if T >> i & 1)
-            for cells, _, bucket in _walk(D) for T in bucket}
+            for cells, _, bucket in _walk(diagram(D)) for T in bucket}
 
 
 def kohnert_polynomial(D):
     """Weight generating function of the closure; the empty diagram gives 1."""
-    counts = Counter()
-    for _, B, bucket in _walk(D):
-        counts.update(bucket.values())
-    # w has fewer base-B digits than bits; from_terms strips the zeros past them
-    return Poly.from_terms((tuple(w // B ** i % B for i in range(w.bit_length())), k)
-                           for w, k in counts.items())
+    global _weight_cache_terms
+    D = diagram(D)
+    terms = _weight_cache.get(D)
+    if terms is None:
+        tally = Counter()
+        for _, B, bucket in _walk(D):
+            tally.update(bucket.values())
+        powers = [B ** i for i in range(max((r for _, r in D), default=0))]  # row i + 1 counts B^i
+        terms = tuple((tuple([w // p % B for p in powers if p <= w]), k) for w, k in tally.items())
+        if _weight_cache_terms + len(terms) > _WEIGHT_CACHE_LIMIT:
+            _weight_cache.clear()
+            _weight_cache_terms = 0
+        if len(terms) <= _WEIGHT_CACHE_LIMIT:
+            _weight_cache[D] = terms
+            _weight_cache_terms += len(terms)
+    return _poly(dict(terms))
 
 
 def _window_parts(a):

@@ -4,7 +4,7 @@ cross-checking."""
 
 from .compositions import as_comp, as_window
 from .permutations import check_perm, covers, pad_perm, strip_fixed
-from .polynomials import Poly, divided_difference
+from .polynomials import Poly, _poly, divided_difference
 
 # Strip targets by (u, k, m) and oracle polynomials by permutation; each is
 # cleared at its limit, so it stays bounded in a long-lived process.
@@ -90,7 +90,7 @@ def schubert_oracle(w, n):
     w = check_perm(w)
     if len(w) > as_window(n) + 1:
         raise ValueError(f"{w} needs more than {n} variables")
-    return _schubert_poly(w)
+    return _poly(dict(_schubert_poly(w).terms))
 
 
 def evaluate_expansion(expansion, n):

@@ -243,7 +243,7 @@ def test_detects_an_unbounded_cache():
 def test_module_caches_are_bounded():
     found = {name: bounded for path in MODULES
              for name, bounded in module_caches(path.read_text()).items()}
-    assert set(found) >= {"_piece_cache", "_oracle_cache", "_strip_cache"}
+    assert set(found) >= {"_piece_cache", "_oracle_cache", "_strip_cache", "_weight_cache"}
     assert [name for name, bounded in found.items() if not bounded] == []
 
 

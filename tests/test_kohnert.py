@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaghom import kohnert
 from flaghom import reference as ref
 from flaghom.bases import h_flagged
 from flaghom.compositions import compositions_of
@@ -167,12 +168,20 @@ def closure_by_oracle(D):
     return seen
 
 
+def walked_polynomial(D):
+    """kohnert_polynomial(D) from a walk, with the weight cache empty."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kohnert, "_weight_cache", {})
+        mp.setattr(kohnert, "_weight_cache_terms", 0)
+        return kohnert_polynomial(D)
+
+
 def assert_walk_matches_the_oracle(D):
-    """The closure and polynomial of D against a search over kohnert_moves;
-    the size of the closure."""
+    """The closure and the walked polynomial of D against a search over
+    kohnert_moves; the size of the closure."""
     closure = closure_by_oracle(D)
     assert kohnert_closure(D) == closure, D
-    assert kohnert_polynomial(D) == Poly.from_terms((diagram_weight(T), 1) for T in closure), D
+    assert walked_polynomial(D) == Poly.from_terms((diagram_weight(T), 1) for T in closure), D
     return len(closure)
 
 
@@ -194,9 +203,68 @@ def test_walk_matches_the_oracle_on_edge_cases():
 
 def test_walk_gives_h_flagged_on_the_readme_shape():
     a = (1, 0, 3, 6, 1, 0, 2)
-    poly = kohnert_polynomial(build_Da(a))
+    poly = walked_polynomial(build_Da(a))
     assert poly == h_flagged(a)
     assert sum(poly.terms.values()) == 117600  # lower triangular matrices of row sum a
+
+
+def test_walk_decodes_a_digit_of_B_minus_1():
+    # all cells in one row make a digit equal to |D| = B - 1: four cells in
+    # row 1, and the bottom of the closure of D(0, 3), three cells in row 1;
+    # the empty diagram has weight 0 and gives 1
+    assert walked_polynomial({(c, 1) for c in range(1, 5)}) == Poly.variable(1) ** 4
+    row2 = {(c, 2) for c in range(1, 4)}
+    assert walked_polynomial(row2) == h_flagged((0, 3))
+    assert walked_polynomial(row2).coefficient((3,)) == 1
+    assert walked_polynomial(set()) == Poly.one()
+
+
+@pytest.fixture
+def weight_cache(monkeypatch):
+    """An empty weight cache for one test."""
+    monkeypatch.setattr(kohnert, "_weight_cache", {})
+    monkeypatch.setattr(kohnert, "_weight_cache_terms", 0)
+    return kohnert._weight_cache
+
+
+def test_a_cache_hit_equals_a_cold_answer(weight_cache):
+    for a in [(1, 0, 3), (2, 2, 1), (0, 0)]:
+        D = build_Da(a)
+        cold = kohnert_polynomial(D)
+        assert D in weight_cache
+        assert kohnert_polynomial(D) == cold == h_flagged(a), a
+    assert kohnert_polynomial(set()) == Poly.one() == kohnert_polynomial(frozenset())
+
+
+def test_a_returned_poly_is_fresh(weight_cache):
+    # a caller that edits its answer leaves the next answer as it was
+    D = build_Da((1, 2))
+    first = kohnert_polynomial(D)
+    first.terms[(5,)] = 7
+    del first.terms[(3,)]
+    assert kohnert_polynomial(D) == h_flagged((1, 2))
+    assert kohnert_polynomial(D) is not kohnert_polynomial(D)
+
+
+def test_a_list_and_a_frozenset_share_one_entry(weight_cache):
+    cells = [[1, 2], [2, 2], [3, 3]]
+    first = kohnert_polynomial(cells)
+    assert kohnert_polynomial(frozenset(map(tuple, cells))) == first
+    assert list(weight_cache) == [diagram(cells)]
+
+
+def test_weight_cache_stays_bounded(weight_cache, monkeypatch):
+    # the limit counts terms over all entries; a diagram with more terms
+    # than the limit is answered and not kept
+    monkeypatch.setattr(kohnert, "_WEIGHT_CACHE_LIMIT", 12)
+    shapes = [a for n in (2, 3) for d in range(4) for a in compositions_of(d, n)]
+    for a in shapes + shapes[::-1] + [(1, 2, 3)]:
+        D = build_Da(a)
+        assert kohnert_polynomial(D) == walked_polynomial(D) == h_flagged(a), a
+        held = sum(map(len, kohnert._weight_cache.values()))
+        assert held == kohnert._weight_cache_terms <= 12
+    assert len(kohnert_polynomial(build_Da((1, 2, 3))).terms) > 12
+    assert build_Da((1, 2, 3)) not in kohnert._weight_cache
 
 
 # columns with gaps, rows above any window of a staircase diagram

@@ -165,6 +165,16 @@ def test_negative_structure_constant_identity():
     assert all(c >= 0 for c in exp.values())
 
 
+def test_oracle_answers_are_fresh(monkeypatch):
+    # the oracle once handed out the Poly its cache held, so a caller that
+    # edited its answer changed every later answer
+    monkeypatch.setattr(schubert, "_oracle_cache", {})
+    first = schubert_oracle((2, 1), 2)
+    first.terms[(5,)] = 7
+    assert schubert_oracle((2, 1), 2) == Poly.variable(1)
+    assert schubert_oracle((2, 1), 2) is not schubert_oracle((2, 1), 2)
+
+
 def test_oracle_cache_stays_bounded(monkeypatch):
     perms = [w for b in compositions_of(3, 3) for w in h_schubert_expansion(b)]
     monkeypatch.setattr(schubert, "_oracle_cache", {})
