@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .compositions import (as_comp, as_window, compositions_of, dominance_key,
+from .compositions import (as_comp, as_int, compositions_of, dominance_key,
                            is_partition, pad, rev, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import _rho_inverse
@@ -14,12 +14,7 @@ from .polynomials import Poly, sorted_terms
 
 def h_complete(k, m):
     """The complete homogeneous polynomial h_k(x_1, ..., x_m)."""
-    if type(m) is not int or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
-    if type(k) is not int:
-        raise ValueError(f"degree must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"negative degree {k}")
+    k, m = as_int(k, what="degree"), as_int(m, what="variable count")
     if k == 0:
         return Poly.one()
     if m == 0:
@@ -204,8 +199,8 @@ def expand_h_into_atoms(b, n=None):
 def _family(degrees, n, element):
     """(a, element(a, n)) for the compositions a of the given total degrees
     into n parts, listed along the fixed linear extension of dominance order.
-    Rejects what as_window rejects of n."""
-    as_window(n)
+    Rejects what as_int rejects of n."""
+    as_int(n)
     return [(a, element(a, n)) for d in sorted(set(degrees))
             for a in sorted(compositions_of(d, n), key=lambda a: dominance_key(a, n))]
 

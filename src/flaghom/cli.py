@@ -190,10 +190,6 @@ def cmd_snakes(args):
 
 
 def cmd_verify(args):
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.deg is not None and args.deg < 0:
-        raise ValueError(f"--deg must be nonnegative, got {args.deg}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     given = {"n": args.n, "deg": args.deg}
     failed = False
@@ -214,8 +210,6 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    if args.n is not None and args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
     data = json.loads(args.data if args.data else sys.stdin.read())
     if args.kind == "filling":
         print(render_filling(rows_from_json(data), args.n))

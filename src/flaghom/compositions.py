@@ -18,16 +18,17 @@ def as_comp(a, n=None):
         raise ValueError(f"non-integer part in {a}")
     if min(a, default=0) < 0:
         raise ValueError(f"negative part in {a}")
-    if n is not None and as_window(n) < len(strip(a)):
+    if n is not None and as_int(n) < len(strip(a)):
         raise ValueError(f"ambient {n} smaller than length of {a}")
     return a
 
 
-def as_window(n):
-    """n, checked to be a variable window: an integer >= 0, not a bool."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"window {n!r} is not an integer >= 0")
-    return n
+def as_int(x, least=0, what="window"):
+    """x, checked to be an integer >= least, not a bool: the one check of a
+    window, a degree, a count or an index; what names x in the error."""
+    if type(x) is not int or x < least:
+        raise ValueError(f"{what} {x!r} is not an integer >= {least}")
+    return x
 
 
 def as_matrix(A):

@@ -14,14 +14,16 @@ picture with row 1 at the bottom.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .compositions import as_comp, as_window, is_partition, pad, strip
+from .compositions import as_comp, as_int, is_partition, pad, strip
 
 FLAVORS = ("SSKT", "rSSAF", "SSYT", "rSSYT")
 
 
 def key_diagram(a):
-    """The left-justified cell set {(c, r) : c <= a_r}."""
-    return frozenset((c, r) for r, part in enumerate(a, start=1) for c in range(1, part + 1))
+    """The left-justified cell set {(c, r) : c <= a_r}; rejects what as_comp
+    rejects of a."""
+    return frozenset((c, r) for r, part in enumerate(as_comp(a), start=1)
+                     for c in range(1, part + 1))
 
 
 def attacking(u, v):
@@ -40,18 +42,20 @@ def shape_of(rows):
 
 def weight_of(rows, n=None):
     """Entry multiplicities as a composition of length n (default: the
-    largest entry); an entry outside [1, n] raises ValueError, and so does
-    what as_window rejects of n."""
-    n = max((max(r) for r in rows if r), default=0) if n is None else as_window(n)
+    largest int entry); an entry that is not an int in [1, n] raises
+    ValueError, and so does what as_int rejects of n."""
+    n = max((e for r in rows for e in r if type(e) is int), default=0) if n is None else as_int(n)
     counts = [0] * n
-    try:  # one comparison per entry: an entry above n overruns counts
+    # one comparison per entry: an entry above n overruns counts, and one
+    # that is not an int fails the comparison or the index
+    try:
         for row in rows:
             for e in row:
                 if e < 1:
                     raise IndexError
                 counts[e - 1] += 1
-    except IndexError:
-        raise ValueError(f"entry {e} outside [1, {n}]") from None
+    except (IndexError, TypeError):
+        raise ValueError(f"entry {e!r} outside [1, {n}]") from None
     return tuple(counts)
 
 
@@ -84,11 +88,11 @@ def statistics(rows, n=None):
     declared rows but must be passed explicitly whenever the window exceeds
     the shape, since rows above the shape still attack and form triples.
     Rejects a row that as_comp rejects, an entry outside [n] and what
-    as_window rejects of n.
+    as_int rejects of n.
     """
     rows = tuple(map(as_comp, rows))
     shape = shape_of(rows)
-    n = max(len(rows), 0 if n is None else as_window(n))
+    n = max(len(rows), 0 if n is None else as_int(n))
     weight_of(rows, n)
     a = pad(shape, n)
 
@@ -172,11 +176,11 @@ def is_member(rows, flavor, n=None):
     """Membership in a tableau family, cell by cell by `_fits`.  Entries lie
     in [n]; for SSKT and rSSAF n is at least the row count, and for SSYT and
     rSSYT an unbounded n (None) only requires positive entries.  Rejects what
-    as_window rejects of n."""
+    as_int rejects of n."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if n is not None:
-        as_window(n)
+        as_int(n)
     rows = tuple(tuple(r) for r in rows)
     if flavor in ("SSKT", "rSSAF"):
         n = max(len(rows), n or 0)
@@ -198,7 +202,7 @@ def enumerate_fillings(shape, n, flavor, weight=None):
     upward, left to right.  Backtracks cell by cell, by `_fits`, under a
     budget of the entries of each value still to place.
     """
-    shape = as_comp(shape, as_window(n))
+    shape = as_comp(shape, as_int(n))
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if flavor in ("SSYT", "rSSYT") and not is_partition(shape):

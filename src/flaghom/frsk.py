@@ -9,7 +9,7 @@ weakly increasing, bottom entries weakly decreasing within a constant top.
 
 from itertools import product
 
-from .compositions import as_comp, as_matrix, as_window, is_lower_triangular
+from .compositions import as_comp, as_int, as_matrix, is_lower_triangular
 from .fillings import is_member, shape_of
 
 
@@ -28,7 +28,7 @@ def matrix_from_biword(pairs, n=None):
     defaults to the largest letter.  Letters are integers in [n], not bools."""
     if not all(type(i) is type(j) is int for i, j in pairs):
         raise ValueError("biword letter is not an integer")
-    n = max((max(i, j) for i, j in pairs), default=0) if n is None else as_window(n)
+    n = max((max(i, j) for i, j in pairs), default=0) if n is None else as_int(n)
     M = [[0] * n for _ in range(n)]
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -138,7 +138,7 @@ def flagged_insert_trace(S, j, n):
     Returns the new filling (window rows) and the chain [(column, row), ...].
     """
     rows = [list(r) for r in S]
-    if len(rows) > n:
+    if len(rows) > as_int(n):
         raise ValueError("filling taller than ambient window")
     if not 1 <= j <= n:
         raise ValueError(f"entry {j} outside [{n}]")
@@ -263,7 +263,7 @@ def rho_inverse(Q, n=None):
     if not is_member(Q, "SSYT"):
         raise ValueError("Q is not an SSYT")
     top = max((max(r) for r in Q if r), default=0)
-    n = top if n is None else as_window(n)
+    n = top if n is None else as_int(n)
     if n < top:
         raise ValueError(f"ambient {n} smaller than the largest entry")
     return _rho_inverse(Q, n)

@@ -5,7 +5,7 @@ points; the identity is the empty tuple.  Length means Coxeter length,
 computed by inversion counting.
 """
 
-from .compositions import as_comp
+from .compositions import as_comp, as_int
 
 
 def strip_fixed(w):
@@ -70,18 +70,14 @@ def k_bruhat_covers(u, k):
     The window for j reaches one past the support of u: no cover can move a
     later fixed point.
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    u = check_perm(u)
+    k, u = as_int(k, 1, "k"), check_perm(u)
     return {strip_fixed(w) for _, w in covers(pad_perm(u, max(len(u), k) + 1), k)}
 
 
 def grassmannian_perm(lam, k):
     """The unique permutation with at most one descent, at position k, whose
     first k values are i + lam_{k+1-i}; lam must have at most k parts."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    lam = as_comp(lam)
+    k, lam = as_int(k, 1, "k"), as_comp(lam)
     if len([p for p in lam if p > 0]) > k:
         raise ValueError(f"partition {lam} has more than {k} nonzero parts")
     lam = lam + (0,) * (k - len(lam))

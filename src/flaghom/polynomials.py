@@ -10,7 +10,7 @@ term order used for serialization is graded lexicographic on the exponent
 vectors.
 """
 
-from .compositions import as_comp, pad, strip
+from .compositions import as_comp, as_int, pad, strip
 
 
 class Poly:
@@ -50,9 +50,7 @@ class Poly:
     @classmethod
     def variable(cls, i):
         """The variable x_i (1-based)."""
-        if type(i) is not int or i < 1:
-            raise ValueError(f"need an integer index i >= 1, got {i!r}")
-        return cls.monomial((0,) * (i - 1) + (1,))
+        return cls.monomial((0,) * (as_int(i, 1, "index") - 1) + (1,))
 
     def is_zero(self):
         return not self.terms
@@ -61,10 +59,12 @@ class Poly:
         return self.terms.get(strip(exp), 0)
 
     def homogeneous_part(self, d):
+        d = as_int(d, what="degree")
         return _poly({e: c for e, c in self.terms.items() if sum(e) == d})
 
     def restrict_vars(self, k):
         """Set every variable beyond x_k to zero."""
+        k = as_int(k)
         return _poly({e: c for e, c in self.terms.items() if len(e) <= k})
 
     def __bool__(self):
@@ -105,10 +105,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if type(k) is not int:
-            raise ValueError(f"power {k!r} is not an integer")
-        if k < 0:
-            raise ValueError("negative power")
+        k = as_int(k, what="power")
         result = Poly.one()
         base = self
         while k:
@@ -175,14 +172,15 @@ def poly_to_json(p):
 
 
 def express_in_basis(p, basis):
-    """Write p as an integer combination of a triangular basis family.
+    """Write p, a Poly or an int, as an integer combination of a triangular
+    basis family.
 
     basis is an ordered sequence of (index composition, Poly) such that each
     element's support lies weakly above its own index in the listing order
     and the coefficient at its index is 1.  Returns {index: coefficient};
     raises ValueError if elimination leaves a nonzero remainder.
     """
-    residue = p
+    residue = _operand(p)
     out = {}
     for index, elem in basis:
         c = residue.coefficient(index)
@@ -195,9 +193,9 @@ def express_in_basis(p, basis):
 
 
 def divided_difference(p, i):
-    """The ith divided difference (f - s_i f) / (x_i - x_{i+1}), exactly."""
-    if type(i) is not int or i < 1:
-        raise ValueError(f"need an integer index i >= 1, got {i!r}")
+    """The ith divided difference (f - s_i f) / (x_i - x_{i+1}), exactly;
+    p is a Poly or an int, as an operand of Poly arithmetic."""
+    p, i = _operand(p), as_int(i, 1, "index")
 
     def terms():
         for exp, coef in p.terms.items():

@@ -1,6 +1,8 @@
 """Plain-text renderers: fillings with their basement column, bare diagrams,
 and tabloids labelled by snake index.  Rows print top down, row 1 last."""
 
+from .compositions import as_int
+
 
 def _grid_lines(n, width, cell):
     """Rows n..1 as strings; cell(c, r) supplies each token or None."""
@@ -19,7 +21,7 @@ def _grid_lines(n, width, cell):
 
 def render_filling(rows, n=None):
     rows = tuple(tuple(r) for r in rows)
-    n = max(len(rows), n or 0)
+    n = max(len(rows), 0 if n is None else as_int(n))
     width = max((len(r) for r in rows), default=0)
 
     def cell(c, r):
@@ -32,7 +34,7 @@ def render_filling(rows, n=None):
 
 def render_diagram(D, n=None):
     D = frozenset(D)
-    n = max(max((r for _, r in D), default=1), n or 0)
+    n = max(max((r for _, r in D), default=1), 0 if n is None else as_int(n))
     width = max((c for c, _ in D), default=0)
     return "\n".join(_grid_lines(n, width, lambda c, r: "#" if (c, r) in D else None))
 

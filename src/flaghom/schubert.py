@@ -2,7 +2,7 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
-from .compositions import as_comp, as_window
+from .compositions import as_comp, as_int
 from .permutations import check_perm, covers, pad_perm, strip_fixed
 from .polynomials import Poly, _poly, divided_difference
 
@@ -21,10 +21,8 @@ def horizontal_strip_targets(u, k, m):
     A position j > k moves only as the j of a step, so the j's a chain has
     used are where w differs from u, and one set of words per step is the
     whole state.  Padding to max(len(u), k) + m covers every step."""
-    if type(k) is not int or type(m) is not int or k < 1 or m < 0:
-        raise ValueError(f"need integers k >= 1 and m >= 0, got k={k!r}, m={m!r}")
     u = tuple(u)
-    key = (strip_fixed(u), k, m)
+    key = (strip_fixed(u), as_int(k, 1, "k"), as_int(m, what="strip size"))
     # a word that is not a permutation has no valid key, but 2.0 == 2 and
     # True == 1, so a word of other types can equal one: check it as a miss
     if not set(map(type, u)) <= {int} or key not in _strip_cache:
@@ -86,9 +84,9 @@ def _schubert_poly(w):
 
 def schubert_oracle(w, n):
     """The Schubert polynomial of w, which must fit in x_1..x_n, i.e. w can
-    permute [m] only for m <= n + 1.  Rejects what as_window rejects of n."""
+    permute [m] only for m <= n + 1.  Rejects what as_int rejects of n."""
     w = check_perm(w)
-    if len(w) > as_window(n) + 1:
+    if len(w) > as_int(n) + 1:
         raise ValueError(f"{w} needs more than {n} variables")
     return _poly(dict(_schubert_poly(w).terms))
 

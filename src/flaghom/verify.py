@@ -5,13 +5,14 @@ scale range and reports each failing instance."""
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import permutations
 
 from . import reference as ref
 from .bases import (_atom_counts, _key_counts, demazure_atom, h_basis_family,
                     h_complete, h_flagged, h_flagged_matrix_oracle, h_sym,
                     key_polynomial, kostka, ktilde, ktilde_upper, schur_ssyt)
-from .compositions import (compositions_of, dominance_key, key_poset_leq, pad,
-                           partitions_of, sort_comp, strip)
+from .compositions import (as_int, compositions_of, dominance_key, key_poset_leq,
+                           pad, partitions_of, sort_comp, strip)
 from .fillings import (enumerate_fillings, is_member, key_diagram, statistics,
                        weight_of)
 from .frsk import (biword_from_matrix, flagged_insert_trace, frsk,
@@ -70,14 +71,18 @@ class VerifyReport:
 
 
 def _timed(n_default=None, deg_default=None):
-    """Make a suite a timed run that takes n and deg, each defaulting to the
-    suite's own range; a suite without a range for one refuses it."""
+    """Make a suite a timed run that takes n >= 1 and deg >= 0, each
+    defaulting to the suite's own range; a suite without a range for one
+    refuses it."""
     def wrap(fn):
         def run(n=None, deg=None):
             report = VerifyReport(fn.__name__.removeprefix("suite_").replace("_", "-"))
-            for option, value in (("n", n), ("deg", deg)):
-                if value is not None and option not in run.options:
+            for option, value, least in (("n", n, 1), ("deg", deg, 0)):
+                if value is None:
+                    continue
+                if option not in run.options:
                     raise ValueError(f"suite {report.suite} does not read --{option}")
+                as_int(value, least, f"--{option}")
             start = time.perf_counter()
             fn(report, n_default if n is None else n, deg_default if deg is None else deg)
             report.seconds = time.perf_counter() - start
@@ -108,11 +113,9 @@ def _check_inverse(report, A, B, where):
 
 
 def _sorted_refinement(lam, b):
-    """The skyline counts ktilde(a, b) summed over the rearrangements a of
-    the partition lam."""
-    width = max(len(lam), len(b))
-    return sum(ktilde(a, b) for a in compositions_of(sum(b), width)
-               if sort_comp(a) == pad(lam, width))
+    """The skyline counts ktilde(a, b) summed over the distinct
+    rearrangements a of the partition lam."""
+    return sum(ktilde(a, b) for a in set(permutations(pad(lam, max(len(lam), len(b))))))
 
 
 @_timed(3, 4)

@@ -226,6 +226,18 @@ def test_verify_suite_refuses_an_option_it_does_not_read(capsys, argv, option):
     assert err == [f"error: suite {argv[0]} does not read --{option}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "snakes", "--n", "0"), "--n 0 is not an integer >= 1"),
+    (("verify", "all", "--deg", "-1"), "--deg -1 is not an integer >= 0"),
+    (("render", "filling", '{"rows": [[1]]}', "--n", "-3"), "window -3 is not an integer >= 0"),
+    (("render", "diagram", '{"cells": [[1, 1]]}', "--n", "-3"),
+     "window -3 is not an integer >= 0"),
+])
+def test_an_integer_option_below_its_least_is_one_error_line(capsys, argv, message):
+    code, out, err = run_error(capsys, *argv)
+    assert (code, out, err) == (2, "", [f"error: {message}"])
+
+
 def test_render_filling(capsys):
     payload = json.dumps({"shape": [1, 1], "rows": [[1], [2]]})
     code, out = run(capsys, "render", "filling", payload)

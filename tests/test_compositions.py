@@ -1,10 +1,19 @@
+import re
 from itertools import combinations
 
 import pytest
 
-from flaghom.compositions import (compositions_of, dominance_key,
+from flaghom.bases import h_basis_family, h_complete
+from flaghom.compositions import (as_comp, compositions_of, dominance_key,
                                   key_poset_leq, pad, partitions_of, rev,
                                   strip)
+from flaghom.fillings import enumerate_fillings, is_member, statistics, weight_of
+from flaghom.frsk import flagged_insert_trace, matrix_from_biword, rho_inverse
+from flaghom.permutations import grassmannian_perm, k_bruhat_covers
+from flaghom.polynomials import Poly, divided_difference
+from flaghom.render import render_diagram, render_filling
+from flaghom.schubert import horizontal_strip_targets, schubert_oracle
+from flaghom.verify import run_suite
 from oracles import dominance_leq, relabel
 
 
@@ -110,3 +119,44 @@ def test_composition_and_partition_counts():
     assert len(list(compositions_of(4, 3))) == 15
     assert len(list(compositions_of(0, 0))) == 1
     assert [len(list(partitions_of(d))) for d in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+
+
+X1 = Poly.variable(1)
+# every integer argument of the library, its least value and a call taking it
+INTEGER_ARGUMENTS = [
+    ("as_comp n", 0, lambda x: as_comp((), x)),
+    ("h_complete k", 0, lambda x: h_complete(x, 2)),
+    ("h_complete m", 0, lambda x: h_complete(1, x)),
+    ("h_basis_family n", 0, lambda x: h_basis_family([1], x)),
+    ("k_bruhat_covers k", 1, lambda x: k_bruhat_covers((), x)),
+    ("grassmannian_perm k", 1, lambda x: grassmannian_perm((), x)),
+    ("Poly.variable i", 1, Poly.variable),
+    ("Poly ** k", 0, lambda x: X1 ** x),
+    ("divided_difference i", 1, lambda x: divided_difference(X1, x)),
+    ("restrict_vars k", 0, X1.restrict_vars),
+    ("homogeneous_part d", 0, X1.homogeneous_part),
+    ("horizontal_strip_targets k", 1, lambda x: horizontal_strip_targets((), x, 1)),
+    ("horizontal_strip_targets m", 0, lambda x: horizontal_strip_targets((), 1, x)),
+    ("schubert_oracle n", 0, lambda x: schubert_oracle((), x)),
+    ("weight_of n", 0, lambda x: weight_of((), x)),
+    ("statistics n", 0, lambda x: statistics((), x)),
+    ("is_member n", 0, lambda x: is_member((), "SSYT", x)),
+    ("enumerate_fillings n", 0, lambda x: enumerate_fillings((), x, "SSKT")),
+    ("matrix_from_biword n", 0, lambda x: matrix_from_biword([], x)),
+    ("rho_inverse n", 0, lambda x: rho_inverse((), x)),
+    ("flagged_insert_trace n", 0, lambda x: flagged_insert_trace((), 1, x)),
+    ("render_filling n", 0, lambda x: render_filling((), x)),
+    ("render_diagram n", 0, lambda x: render_diagram((), x)),
+    ("run_suite n", 1, lambda x: run_suite("basis", n=x, deg=1)),
+    ("run_suite deg", 0, lambda x: run_suite("frsk", n=1, deg=x)),
+]
+
+
+@pytest.mark.parametrize("least, call", [(least, call) for _, least, call in INTEGER_ARGUMENTS],
+                         ids=[name for name, _, _ in INTEGER_ARGUMENTS])
+def test_every_integer_argument_takes_one_check(least, call):
+    # each of these once took a bool as 0 or 1, answered for a float, or
+    # passed a value below its least; some raised TypeError
+    for x in (True, 1.0, least - 1):
+        with pytest.raises(ValueError, match=re.escape(f"{x!r} is not an integer >= {least}")):
+            call(x)

@@ -33,6 +33,10 @@ def test_key_diagram():
     assert key_diagram((2, 0)) == {(1, 1), (2, 1)}
     assert len(key_diagram(ref.SHAPE_A)) == 13
     assert key_diagram((1, 0, 2)) == {(1, 1), (1, 3), (2, 3)}
+    # (1, -1) once dropped its second row, and (1.5,) raised TypeError
+    for a in [(1, -1), (1.5,), (True,)]:
+        with pytest.raises(ValueError):
+            key_diagram(a)
 
 
 @pytest.mark.parametrize("u, v, want", [
@@ -202,6 +206,14 @@ def test_weight_of_rejects_entries_outside_the_window(rows):
     for n in (1.5, True, -1):
         with pytest.raises(ValueError, match="is not an integer >= 0"):
             weight_of(((1,),), n)
+
+
+@pytest.mark.parametrize("rows", [(("a",),), ((2.0,),), ((1,), ("a",)), ((1, 2.0),)])
+@pytest.mark.parametrize("n", [None, 3])
+def test_weight_of_rejects_an_entry_that_is_not_an_int(rows, n):
+    # each once raised TypeError
+    with pytest.raises(ValueError, match="entry .* outside"):
+        weight_of(rows, n)
 
 
 def test_row_monotonicity_characterizes_descent_stats():

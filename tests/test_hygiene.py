@@ -8,6 +8,8 @@ calls ``__new__`` outside ``polynomials._poly``, so every Poly that the
 checked ``Poly(...)`` does not make comes from that one builder.
 No library code lists SSYT of a fixed weight through ``enumerate_fillings``:
 the strip walk ``bases._ssyt_of_weight`` is their one implementation.
+No library function both tests ``type(x) is not int`` and compares x by
+order: ``compositions.as_int`` is the one check of an integer with a bound.
 Test-only code lives in ``tests/oracles.py``: every library definition is
 also reached without the tests, from the package, its exported API, or the
 benchmark.
@@ -212,6 +214,44 @@ def test_detects_a_weighted_ssyt_listing():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_weighted_ssyt_come_from_the_strip_walk(path):
     assert weighted_ssyt_calls(path.read_text()) == []
+
+
+ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def open_coded_int_checks(source):
+    """Lines of a `type(x) is not int` test in a function, other than as_int,
+    that also compares x by order."""
+    found = []
+    for f in ast.walk(ast.parse(source)):
+        if not isinstance(f, ast.FunctionDef) or f.name == "as_int":
+            continue
+        compares = [c for c in ast.walk(f) if isinstance(c, ast.Compare)]
+        ordered = {ast.dump(side) for c in compares if any(isinstance(op, ORDER) for op in c.ops)
+                   for side in [c.left, *c.comparators]}
+        found += [c.lineno for c in compares
+                  if isinstance(c.left, ast.Call) and getattr(c.left.func, "id", None) == "type"
+                  and isinstance(c.ops[0], ast.IsNot)
+                  and getattr(c.comparators[0], "id", None) == "int"
+                  and ast.dump(c.left.args[0]) in ordered]
+    return sorted(set(found))
+
+
+def test_detects_an_open_coded_integer_check():
+    source = ("def as_int(x, least=0):\n    if type(x) is not int or x < least:\n"
+              "        raise ValueError\n\n"
+              "def power(k):\n    if type(k) is not int:\n        raise ValueError\n"
+              "    if k < 0:\n        raise ValueError\n\n"
+              "def variable(i):\n    if type(i) is not int or 1 > i:\n        raise ValueError\n\n"
+              "def coefficient(c, k):\n    if type(c) is not int or k < 0:\n"
+              "        raise ValueError\n\n"
+              "def member(e, n):\n    return type(e) is int and 1 <= e <= n\n")
+    assert open_coded_int_checks(source) == [6, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_integers_are_checked_by_as_int(path):
+    assert open_coded_int_checks(path.read_text()) == []
 
 
 def module_caches(source):

@@ -109,7 +109,7 @@ def test_grassmannian_rejects_negative_parts():
 def test_grassmannian_rejects_bad_k():
     # k = 1.5 once raised TypeError
     for k in [0, 1.5, True]:
-        with pytest.raises(ValueError, match="k must be an integer"):
+        with pytest.raises(ValueError, match="k .* is not an integer >= 1"):
             grassmannian_perm((1,), k)
 
 
