@@ -2,7 +2,6 @@
 Kostka-type coefficients connecting them."""
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .compositions import (as_comp, as_int, compositions_of, dominance_key,
@@ -124,16 +123,17 @@ def kostka(lam, b):
     return len(_ssyt_of_weight(b, n, outer=lam)) if sum(lam) == sum(b) else 0
 
 
-@dataclass
 class BasisExpansion:
     """Integer coefficients of an element against a named target basis;
-    indices equal up to trailing zeros are summed, as Poly exponents are."""
+    indices equal up to trailing zeros are summed, as Poly exponents are.
+    Equal for the same basis and terms, so not hashable."""
 
-    basis: str
-    terms: dict = field(default_factory=dict)
+    def __init__(self, basis, terms):
+        self.basis = basis
+        self.terms = Poly.from_terms(terms.items()).terms
 
-    def __post_init__(self):
-        self.terms = Poly.from_terms(self.terms.items()).terms
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.basis, self.terms) == (other.basis, other.terms)
 
     def coefficient(self, index):
         return self.terms.get(strip(index), 0)

@@ -11,7 +11,7 @@ Cells are written (column, row), both 1-based, matching the first-quadrant
 picture with row 1 at the bottom.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .compositions import as_comp, as_int, is_partition, pad, strip
@@ -46,12 +46,12 @@ def weight_of(rows, n=None):
     ValueError, and so does what as_int rejects of n."""
     n = max((e for r in rows for e in r if type(e) is int), default=0) if n is None else as_int(n)
     counts = [0] * n
-    # one comparison per entry: an entry above n overruns counts, and one
-    # that is not an int fails the comparison or the index
+    # an entry above n overruns counts, and one that is not an int fails the
+    # comparison or the index; True, the one bool not below 1, is tested apart
     try:
         for row in rows:
             for e in row:
-                if e < 1:
+                if e < 1 or e is True:
                     raise IndexError
                 counts[e - 1] += 1
     except (IndexError, TypeError):
@@ -64,13 +64,7 @@ def leg(shape, c, r):
     return shape[r - 1] - c + 1
 
 
-@dataclass(frozen=True)
-class FillingStats:
-    maj: int
-    comaj: int
-    coinv: int
-    inv: int
-    attacking_violations: int
+FillingStats = namedtuple("FillingStats", "maj comaj coinv inv attacking_violations")
 
 
 def _coinv_oriented(i, j, k):

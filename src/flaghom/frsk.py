@@ -47,8 +47,10 @@ def rsk_insert_trace(P, j):
 
     Row by row from the bottom, j lands in the leftmost position of the row
     not occupied by a weakly larger entry, displacing its occupant upward.
+    Rejects a j that is not an int (not a bool) >= 1.
     """
     rows = [list(r) for r in P]
+    as_int(j, 1, "entry")
     chain = []
     r = 1
     while True:
@@ -136,11 +138,12 @@ def flagged_insert_trace(S, j, n):
     meets the condition above.
 
     Returns the new filling (window rows) and the chain [(column, row), ...].
+    Rejects a j that is not an int (not a bool) in [n].
     """
     rows = [list(r) for r in S]
     if len(rows) > as_int(n):
         raise ValueError("filling taller than ambient window")
-    if not 1 <= j <= n:
+    if not 1 <= as_int(j, what="entry") <= n:
         raise ValueError(f"entry {j} outside [{n}]")
     rows += [[] for _ in range(n - len(rows))]
     chain = []

@@ -19,10 +19,7 @@ class Poly:
     def __init__(self, terms=None):
         """Rejects an exponent that is not a weak composition and a
         coefficient that is not an int."""
-        terms = terms or {}
-        for coef in terms.values():
-            if type(coef) is not int:
-                raise ValueError(f"non-integer coefficient {coef!r}")
+        terms = as_coefficients(terms or {})
         self.terms = self.from_terms((as_comp(e), c) for e, c in terms.items()).terms
 
     @staticmethod
@@ -141,6 +138,14 @@ def _poly(terms):
     p = Poly.__new__(Poly)
     p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
     return p
+
+
+def as_coefficients(terms):
+    """terms, a dict checked to hold only int (not bool) coefficients."""
+    for coef in terms.values():
+        if type(coef) is not int:
+            raise ValueError(f"non-integer coefficient {coef!r}")
+    return terms
 
 
 def _operand(other):

@@ -4,7 +4,7 @@ cross-checking."""
 
 from .compositions import as_comp, as_int
 from .permutations import check_perm, covers, pad_perm, strip_fixed
-from .polynomials import Poly, _poly, divided_difference
+from .polynomials import Poly, _poly, as_coefficients, divided_difference
 
 # Strip targets by (u, k, m) and oracle polynomials by permutation; each is
 # cleared at its limit, so it stays bounded in a long-lived process.
@@ -38,9 +38,10 @@ def horizontal_strip_targets(u, k, m):
 
 def pieri_multiply(expansion, m, k):
     """Push a Schubert expansion through one Pieri step: each source w moves
-    to every horizontal m-strip target in k-Bruhat order, once per target."""
+    to every horizontal m-strip target in k-Bruhat order, once per target.
+    Rejects a coefficient that is not an int, as Poly(...) does."""
     out = {}
-    for u, coef in expansion.items():
+    for u, coef in as_coefficients(expansion).items():
         for w in horizontal_strip_targets(u, k, m):
             out[w] = out.get(w, 0) + coef
     return {w: c for w, c in out.items() if c}
@@ -48,7 +49,9 @@ def pieri_multiply(expansion, m, k):
 
 def pieri_chain(expansion, comp):
     """Multiply a Schubert expansion by the flagged homogeneous element of
-    comp: one Pieri step of comp_k in k-Bruhat order for each comp_k > 0."""
+    comp: one Pieri step of comp_k in k-Bruhat order for each comp_k > 0.
+    Rejects what pieri_multiply rejects of the expansion, even for no step."""
+    as_coefficients(expansion)
     for k, part in enumerate(as_comp(comp), start=1):
         if part:
             expansion = pieri_multiply(expansion, part, k)

@@ -5,7 +5,7 @@ signed inverse is tallied over residual shapes.  The rim hook analogues on
 partition shapes live here too, as an independent cross-check."""
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -197,14 +197,12 @@ def special_snakes(b):
     return [(host - key_diagram(e), e) for e in _snake_pieces(b)]
 
 
-@dataclass(frozen=True)
-class SnakeTabloid:
+class SnakeTabloid(namedtuple("SnakeTabloid", "shape snakes")):
     """An ordered decomposition of a key diagram into special snakes; the
     ith snake is taken from the residual diagram and is empty exactly when
     residual row i is."""
 
-    shape: tuple
-    snakes: tuple
+    __slots__ = ()
 
     def weight(self):
         return tuple(len(S) for S in self.snakes)

@@ -3,7 +3,6 @@ tests.  Every suite runs exact checks over an exhaustively enumerated desk
 scale range and reports each failing instance."""
 
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
 
@@ -33,12 +32,9 @@ from .snakes import (SnakeTabloid, complement_shape,
                      weakly_connected_components)
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, suite):
+        self.suite, self.instances, self.failures, self.seconds = suite, 0, [], 0.0
 
     def check(self, ok, **detail):
         """Count one instance; a failing one keeps its detail, with each

@@ -73,6 +73,13 @@ def test_criterion_12_pinned_value_regressions():
     _run(12, "regressions")
 
 
+def test_a_new_report_is_empty():
+    report = VerifyReport("demo")
+    assert (report.suite, report.instances, report.failures, report.seconds) == (
+        "demo", 0, [], 0.0)
+    assert report.passed and VerifyReport("other").failures is not report.failures
+
+
 def test_failure_detail_writes_polynomials_out():
     report = VerifyReport("demo")
     report.check(True, expected=Poly.variable(1), got=Poly.zero())

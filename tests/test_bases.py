@@ -274,6 +274,17 @@ def test_expansion_sums_indices_equal_up_to_trailing_zeros():
     assert BasisExpansion("key", {(1,): 2, (1, 0): -2}).terms == {}
 
 
+def test_expansions_are_equal_for_one_basis_and_normalized_terms():
+    E = BasisExpansion("key", {(1, 0): 2, (0, 1): 0})
+    assert E == BasisExpansion("key", {(1,): 2})
+    assert E == BasisExpansion(basis="key", terms={(1,): 1, (1, 0, 0): 1})
+    assert E != BasisExpansion("atom", {(1,): 2})
+    assert E != BasisExpansion("key", {(1,): 3})
+    assert E != {(1,): 2}
+    with pytest.raises(TypeError):
+        hash(E)
+
+
 def test_expansion_json_is_sorted():
     data = expand_h_into_keys((1, 1)).to_json()
     assert data == {

@@ -8,7 +8,8 @@ from flaghom.compositions import (as_comp, compositions_of, dominance_key,
                                   key_poset_leq, pad, partitions_of, rev,
                                   strip)
 from flaghom.fillings import enumerate_fillings, is_member, statistics, weight_of
-from flaghom.frsk import flagged_insert_trace, matrix_from_biword, rho_inverse
+from flaghom.frsk import (flagged_insert_trace, matrix_from_biword, rho_inverse,
+                          rsk_insert_trace)
 from flaghom.permutations import grassmannian_perm, k_bruhat_covers
 from flaghom.polynomials import Poly, divided_difference
 from flaghom.render import render_diagram, render_filling
@@ -145,6 +146,8 @@ INTEGER_ARGUMENTS = [
     ("matrix_from_biword n", 0, lambda x: matrix_from_biword([], x)),
     ("rho_inverse n", 0, lambda x: rho_inverse((), x)),
     ("flagged_insert_trace n", 0, lambda x: flagged_insert_trace((), 1, x)),
+    ("flagged_insert_trace j", 0, lambda x: flagged_insert_trace(((),), x, 1)),
+    ("rsk_insert_trace j", 1, lambda x: rsk_insert_trace((), x)),
     ("render_filling n", 0, lambda x: render_filling((), x)),
     ("render_diagram n", 0, lambda x: render_diagram((), x)),
     ("run_suite n", 1, lambda x: run_suite("basis", n=x, deg=1)),

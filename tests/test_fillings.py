@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from flaghom import reference as ref
 from flaghom.compositions import compositions_of, partitions_of
-from flaghom.fillings import (FLAVORS, attacking, enumerate_fillings,
-                              is_member, key_diagram, leg, statistics,
-                              weight_of)
+from flaghom.fillings import (FLAVORS, FillingStats, attacking,
+                              enumerate_fillings, is_member, key_diagram, leg,
+                              statistics, weight_of)
 from oracles import enumerate_fillings_naive, is_member_by_definition
 
 
@@ -208,12 +208,23 @@ def test_weight_of_rejects_entries_outside_the_window(rows):
             weight_of(((1,),), n)
 
 
-@pytest.mark.parametrize("rows", [(("a",),), ((2.0,),), ((1,), ("a",)), ((1, 2.0),)])
+@pytest.mark.parametrize("rows", [(("a",),), ((2.0,),), ((1,), ("a",)), ((1, 2.0),),
+                                  ((True,),), ((1, True),)])
 @pytest.mark.parametrize("n", [None, 3])
 def test_weight_of_rejects_an_entry_that_is_not_an_int(rows, n):
-    # each once raised TypeError
+    # each once raised TypeError, but True, which was counted as the entry 1
     with pytest.raises(ValueError, match="entry .* outside"):
         weight_of(rows, n)
+
+
+def test_filling_stats_is_an_immutable_record():
+    st = statistics(((1,),), 1)
+    assert st == FillingStats(0, 0, 0, 0, 0) == FillingStats(**st._asdict())
+    assert st != FillingStats(1, 0, 0, 0, 0)
+    assert hash(st) == hash(FillingStats(0, 0, 0, 0, 0))
+    assert repr(st) == "FillingStats(maj=0, comaj=0, coinv=0, inv=0, attacking_violations=0)"
+    with pytest.raises(AttributeError):
+        st.maj = 1
 
 
 def test_row_monotonicity_characterizes_descent_stats():

@@ -10,6 +10,8 @@ No library code lists SSYT of a fixed weight through ``enumerate_fillings``:
 the strip walk ``bases._ssyt_of_weight`` is their one implementation.
 No library function both tests ``type(x) is not int`` and compares x by
 order: ``compositions.as_int`` is the one check of an integer with a bound.
+A fresh ``import flaghom.cli`` does not load ``dataclasses``, the heaviest
+module of the package's cold import; a record is a named tuple or a plain class.
 Test-only code lives in ``tests/oracles.py``: every library definition is
 also reached without the tests, from the package, its exported API, or the
 benchmark.
@@ -25,6 +27,8 @@ break a benchmark run.
 import ast
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -252,6 +256,13 @@ def test_detects_an_open_coded_integer_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_integers_are_checked_by_as_int(path):
     assert open_coded_int_checks(path.read_text()) == []
+
+
+def test_the_cli_imports_no_dataclasses():
+    code = "import sys, flaghom.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True).stdout
+    assert out == "False\n"
 
 
 def module_caches(source):

@@ -99,6 +99,16 @@ def test_pieri_multiply_examples():
     assert pieri_multiply({(2, 1): 3}, 0, 2) == {(2, 1): 3}
 
 
+@pytest.mark.parametrize("coef", [1.5, True, 2.0, "1"])
+def test_pieri_steps_refuse_a_coefficient_that_is_not_an_int(coef):
+    # {(): 1.5} once gave {(2, 1): 1.5}
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        pieri_multiply({(): coef}, 1, 1)
+    for comp in ((1,), (0,)):
+        with pytest.raises(ValueError, match="non-integer coefficient"):
+            pieri_chain({(2, 1): 1, (): coef}, comp)
+
+
 def test_h_schubert_examples():
     assert h_schubert_expansion((0, 0)) == {(): 1}
     assert h_schubert_expansion((0, 2)) == {(1, 4, 2, 3): 1}

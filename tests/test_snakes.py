@@ -173,6 +173,18 @@ def test_pinned_tabloids():
     assert (UB.weight(), UB.sign()) == (ref.TABLOID_B_WEIGHT, ref.TABLOID_B_SIGN)
 
 
+def test_snake_tabloid_is_an_immutable_record():
+    U = SnakeTabloid((1,), (frozenset({(1, 1)}),))
+    assert U == SnakeTabloid(shape=(1,), snakes=(frozenset({(1, 1)}),))
+    assert U != SnakeTabloid((1, 0), U.snakes)
+    assert len({U, SnakeTabloid((1,), U.snakes)}) == 1
+    assert repr(U) == "SnakeTabloid(shape=(1,), snakes=(frozenset({(1, 1)}),))"
+    with pytest.raises(AttributeError):
+        U.shape = (2,)
+    with pytest.raises(AttributeError):
+        U.extra = 0
+
+
 def test_cancel_pair():
     UL = SnakeTabloid(ref.CANCEL_SHAPE, ref.CANCEL_LEFT)
     UR = SnakeTabloid(ref.CANCEL_SHAPE, ref.CANCEL_RIGHT)
