@@ -21,12 +21,9 @@ def horizontal_strip_targets(u, k, m):
     A position j > k moves only as the j of a step, so the j's a chain has
     used are where w differs from u, and one set of words per step is the
     whole state.  Padding to max(len(u), k) + m covers every step."""
-    u = tuple(u)
-    key = (strip_fixed(u), as_int(k, 1, "k"), as_int(m, what="strip size"))
-    # a word that is not a permutation has no valid key, but 2.0 == 2 and
-    # True == 1, so a word of other types can equal one: check it as a miss
-    if not set(map(type, u)) <= {int} or key not in _strip_cache:
-        u = pad_perm(check_perm(u), max(len(key[0]), k) + m)
+    key = (check_perm(u), as_int(k, 1, "k"), as_int(m, what="strip size"))
+    if key not in _strip_cache:
+        u = pad_perm(key[0], max(len(key[0]), k) + m)
         frontier = {u}
         for _ in range(m):
             frontier = {w2 for w in frontier for j, w2 in covers(w, k) if w[j - 1] == u[j - 1]}
@@ -39,7 +36,9 @@ def horizontal_strip_targets(u, k, m):
 def pieri_multiply(expansion, m, k):
     """Push a Schubert expansion through one Pieri step: each source w moves
     to every horizontal m-strip target in k-Bruhat order, once per target.
-    Rejects a coefficient that is not an int, as Poly(...) does."""
+    Rejects a coefficient that is not an int, as Poly(...) does, and what
+    horizontal_strip_targets rejects of k and m, even for no source."""
+    as_int(k, 1, "k"), as_int(m, what="strip size")
     out = {}
     for u, coef in as_coefficients(expansion).items():
         for w in horizontal_strip_targets(u, k, m):

@@ -10,7 +10,7 @@ from itertools import product
 from math import prod
 
 from .bases import BasisExpansion
-from .compositions import as_comp, key_poset_leq, pad, strip
+from .compositions import as_comp, key_poset_leq, pad
 from .fillings import enumerate_fillings, is_member, key_diagram, shape_of
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def is_snake(S, b):
 
 
 def lowest_column_one_cell(b):
-    r = next((i for i, part in enumerate(strip(b), start=1) if part > 0), None)
+    r = next((i for i, part in enumerate(b, start=1) if part > 0), None)
     return None if r is None else (1, r)
 
 
@@ -234,26 +234,22 @@ def tabloid_json_texts(tabloids):
 
 def _tabloids(shape, pieces):
     """Snake sequences of every tabloid of the shape, depth first, taking
-    from each residual shape d the pieces D(d) - D(e), e in pieces(d); the
-    sequences completing d from row i on, and their pieces, are built once."""
-    n = len(shape)
-    memo = {}
+    from each residual shape d the pieces D(d) - D(e), e in pieces(d).  A
+    piece empties the anchor row, d's lowest nonempty row, and is written
+    there; the sequences completing d, and their pieces, are built once."""
+    memo = {(0,) * len(shape): ((frozenset(),) * len(shape),)}
 
-    def go(d, i):
-        if i > n:
-            return () if any(d) else ((),)
-        if (d, i) not in memo:
-            if d[i - 1] == 0:
-                memo[d, i] = tuple((frozenset(),) + rest for rest in go(d, i + 1))
-            else:
-                host = key_diagram(d)
-                memo[d, i] = tuple((S,) + rest
-                                   for e in pieces(d)
-                                   for S in (host - key_diagram(e),)
-                                   for rest in go(e, i + 1))
-        return memo[d, i]
+    def go(d):
+        if d not in memo:
+            r = lowest_column_one_cell(d)[1]
+            host = key_diagram(d)
+            memo[d] = tuple(rest[:r - 1] + (S,) + rest[r:]
+                            for e in pieces(d)
+                            for S in (host - key_diagram(e),)
+                            for rest in go(e))
+        return memo[d]
 
-    return go(tuple(shape), 1)
+    return go(tuple(shape))
 
 
 def enumerate_special_snake_tabloids(b):
@@ -264,21 +260,19 @@ def enumerate_special_snake_tabloids(b):
 
 
 def validate_special_snake_tabloid(b, snakes):
-    """Check an explicit snake sequence against the tabloid conditions."""
-    b = tuple(b)
+    """Check an explicit snake sequence against the tabloid conditions; the
+    ith snake empties residual row i.  Rejects what as_comp rejects of b."""
+    b = as_comp(b)
     if len(snakes) != len(b):
         return False
     d = b
-    for i, S in enumerate(snakes, start=1):
-        S = frozenset(S)
-        if d[i - 1] == 0:
-            if S:
-                return False
-            continue
-        if not S or not S <= key_diagram(d) or not is_special_snake(S, d):
+    for i, S in enumerate(map(frozenset, snakes), start=1):
+        # rows below i are empty: a snake empties row i, and is empty iff d_i is
+        e = complement_shape(S, d) if S <= key_diagram(d) else None
+        if e is None or e[i - 1] or S and not (d[i - 1] and _snake_predicate(e, d)):
             return False
-        d = complement_shape(S, d)
-    return not any(d)
+        d = e
+    return True
 
 
 def inverse_ktilde(a, b):
@@ -290,31 +284,28 @@ def inverse_ktilde(a, b):
 def expand_key_into_h(b, n=None):
     """Signed expansion of the key polynomial of b in the flagged
     homogeneous basis: the snake tabloids of shape b counted with sign by
-    weight over the memo keys (d, i) of _tabloids, without listing them, as
+    weight over the residual shapes of _tabloids, without listing them, as
     Egecioglu and Remmel count rim hook tabloids.  A piece D(d) - D(e) has
-    size sum(d) - sum(e) and sign (-1)^(h - 1), h the rows with e_r < d_r.
-    Rejects what as_comp(b, n) rejects."""
+    size sum(d) - sum(e), at the anchor row, and sign (-1)^(h - 1), h the
+    rows with e_r < d_r.  Rejects what as_comp(b, n) rejects."""
     b = as_comp(b, n)
-    memo = {}
+    zero = (0,) * len(b)
+    memo = {zero: {zero: 1}}
 
-    def go(d, i):
-        # weight suffix (rows i..n) -> signed count of the completions of d
-        if i > len(b):
-            return {} if any(d) else {(): 1}
-        if (d, i) not in memo:
-            if d[i - 1] == 0:
-                memo[d, i] = {(0,) + w: c for w, c in go(d, i + 1).items()}
-            else:
-                memo[d, i] = tally = {}
-                for e in _snake_pieces(d):
-                    size = sum(d) - sum(e)
-                    sign = (-1) ** (sum(x < y for x, y in zip(e, d)) - 1)
-                    for w, c in go(e, i + 1).items():
-                        w = (size,) + w
-                        tally[w] = tally.get(w, 0) + sign * c
-        return memo[d, i]
+    def go(d):
+        # weight -> signed count of the completions of d
+        if d not in memo:
+            r = lowest_column_one_cell(d)[1]
+            memo[d] = tally = {}
+            for e in _snake_pieces(d):
+                size = sum(d) - sum(e)
+                sign = (-1) ** (sum(x < y for x, y in zip(e, d)) - 1)
+                for w, c in go(e).items():
+                    w = w[:r - 1] + (size,) + w[r:]
+                    tally[w] = tally.get(w, 0) + sign * c
+        return memo[d]
 
-    return BasisExpansion("h-flagged", go(b, 1))
+    return BasisExpansion("h-flagged", go(b))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +366,14 @@ def gset_enumerate(S, b):
 def s_attacks(S, rows, b):
     """Ordered attacking pairs (x, y) of equal entry 1 with x in the snake,
     y above x or in the column to its right, and, when the columns differ,
-    no snake cell immediately left of y."""
-    b = tuple(b)
+    no snake cell immediately left of y.  Rejects what as_comp rejects of
+    b, rows not of shape b and a snake cell outside D(b)."""
+    b = as_comp(b)
     S = frozenset(S)
+    if shape_of(rows) != b:
+        raise ValueError(f"filling of shape {shape_of(rows)}, not {b}")
+    if not S <= key_diagram(b):
+        raise ValueError("cells lie outside the key diagram")
     out = []
     for cx, rx in sorted(S):
         if rows[rx - 1][cx - 1] != 1:

@@ -5,7 +5,8 @@ more structured route, and shares no code with that route: the naive filling
 filter, the dominance order behind `dominance_key`, relabelling of supports,
 the lift of a square matrix into the lower triangle, the Demazure
 operator recursion for keys and atoms, the key-to-h expansion as a sum
-over listed snake tabloids, and the SSYT of one weight listed shape by shape.
+over listed snake tabloids, the snake tabloids listed row by row from cell
+subsets, and the SSYT of one weight listed shape by shape.
 """
 
 from collections import Counter
@@ -14,10 +15,11 @@ from itertools import product
 
 from flaghom.bases import BasisExpansion
 from flaghom.compositions import as_comp, as_matrix, pad, partitions_of, strip
-from flaghom.fillings import enumerate_fillings, statistics, weight_of
+from flaghom.fillings import (enumerate_fillings, key_diagram, statistics,
+                              weight_of)
 from flaghom.frsk import rho_inverse
 from flaghom.polynomials import Poly, divided_difference
-from flaghom.snakes import enumerate_special_snake_tabloids
+from flaghom.snakes import enumerate_special_snake_tabloids, is_special_snake
 
 
 def is_member_by_definition(rows, flavor, n):
@@ -117,6 +119,29 @@ def expand_key_into_h_by_tabloids(b, n=None):
         w = strip(U.weight())
         terms[w] = terms.get(w, 0) + U.sign()
     return BasisExpansion("h-flagged", terms)
+
+
+def snake_tabloids_by_rows(b):
+    """Snake sequences of the special snake tabloids of shape b, by rows:
+    row i takes the empty snake if residual row i is empty, else each
+    nonempty subset of the residual diagram that is_special_snake accepts,
+    and the residual loses its cells; a sequence counts if nothing is left.
+    No memo; the oracle of enumerate_special_snake_tabloids."""
+    def go(d, i):
+        if i == len(d):
+            return [] if any(d) else [()]
+        if d[i] == 0:
+            return [(frozenset(),) + rest for rest in go(d, i + 1)]
+        cells = sorted(key_diagram(d))
+        out = []
+        for mask in range(1, 2 ** len(cells)):
+            S = frozenset(cell for k, cell in enumerate(cells) if mask >> k & 1)
+            if is_special_snake(S, d):
+                e = tuple(part - sum(r == row for _, r in S) for row, part in enumerate(d, 1))
+                out += [(S,) + rest for rest in go(e, i + 1)]
+        return out
+
+    return go(tuple(b), 0)
 
 
 def ssyt_of_weight_by_shapes(b, n):

@@ -13,7 +13,8 @@ from flaghom.frsk import (flagged_insert_trace, matrix_from_biword, rho_inverse,
 from flaghom.permutations import grassmannian_perm, k_bruhat_covers
 from flaghom.polynomials import Poly, divided_difference
 from flaghom.render import render_diagram, render_filling
-from flaghom.schubert import horizontal_strip_targets, schubert_oracle
+from flaghom.schubert import (horizontal_strip_targets, pieri_multiply,
+                              schubert_oracle)
 from flaghom.verify import run_suite
 from oracles import dominance_leq, relabel
 
@@ -138,6 +139,8 @@ INTEGER_ARGUMENTS = [
     ("homogeneous_part d", 0, X1.homogeneous_part),
     ("horizontal_strip_targets k", 1, lambda x: horizontal_strip_targets((), x, 1)),
     ("horizontal_strip_targets m", 0, lambda x: horizontal_strip_targets((), 1, x)),
+    ("pieri_multiply k", 1, lambda x: pieri_multiply({}, 1, x)),
+    ("pieri_multiply m", 0, lambda x: pieri_multiply({}, x, 1)),
     ("schubert_oracle n", 0, lambda x: schubert_oracle((), x)),
     ("weight_of n", 0, lambda x: weight_of((), x)),
     ("statistics n", 0, lambda x: statistics((), x)),

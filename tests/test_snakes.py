@@ -24,7 +24,8 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             snake_sign, special_snakes, tabloid_json_texts,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
-from oracles import expand_key_into_h_by_tabloids, relabel
+from oracles import (expand_key_into_h_by_tabloids, relabel,
+                     snake_tabloids_by_rows)
 
 
 def test_weakly_connected_components_figure():
@@ -202,6 +203,20 @@ def test_tabloid_validation_rejects_bad_sequences():
     # first snake skips the anchor cell
     assert not validate_special_snake_tabloid(
         (1, 1), (frozenset({(1, 2)}), frozenset({(1, 1)})))
+
+
+def by_cells(sequences):
+    return sorted(sequences, key=lambda snakes: [sorted(S) for S in snakes])
+
+
+def test_tabloids_match_a_listing_by_rows():
+    shapes = [b for rows in range(1, 6) for b in product(range(8), repeat=rows) if sum(b) <= 7]
+    count = 0
+    for b in shapes:
+        want = by_cells(snake_tabloids_by_rows(b))
+        assert by_cells(U.snakes for U in enumerate_special_snake_tabloids(b)) == want, b
+        count += len(want)
+    assert (len(shapes), count) == (1286, 7302)
 
 
 def test_tabloid_validation_matches_enumeration():
@@ -388,6 +403,15 @@ def test_s_attacks_examples():
     assert x == ref.INVOLUTION_X
 
 
+def test_s_attacks_rejects_malformed_input():
+    # each once raised IndexError or answered []
+    for S, rows, b in [({(1, 1)}, ((1,),), (1, -1)),  # a shape as_comp rejects
+                       ({(1, 1)}, ((1,),), (1, 1)),  # rows not of shape b
+                       ({(3, 1)}, ((1,),), (1,))]:  # a cell outside D(b)
+        with pytest.raises(ValueError):
+            s_attacks(S, rows, b)
+
+
 def test_iota_pinned_pair():
     S2, T2 = iota(ref.INVOLUTION_SMALL, ref.INVOLUTION_T, ref.SHAPE_B)
     assert S2 == ref.INVOLUTION_LARGE and T2 == ref.INVOLUTION_T
@@ -436,6 +460,9 @@ def test_tabloids_reject_negative_parts():
         enumerate_special_snake_tabloids((2, -1))
     with pytest.raises(ValueError):
         special_snakes((2, -1))
+    # and validate_special_snake_tabloid once answered False for it
+    with pytest.raises(ValueError):
+        validate_special_snake_tabloid((1, -1), (frozenset(), frozenset()))
     # inverse_ktilde once read the weight (True,) as (1,), key_poset_leq
     # once held (-1,) below (1,), and gset_enumerate once listed one filling
     # of the shape (-1,)
