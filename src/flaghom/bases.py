@@ -4,8 +4,8 @@ Kostka-type coefficients connecting them."""
 from collections import Counter
 from itertools import combinations
 
-from .compositions import (as_comp, as_int, compositions_of, dominance_key,
-                           is_partition, pad, rev, strip)
+from .compositions import (as_comp, as_int, as_partition, compositions_of,
+                           dominance_key, pad, rev, strip)
 from .fillings import enumerate_fillings, weight_of
 from .frsk import _rho_inverse
 from .polynomials import Poly, sorted_terms
@@ -115,10 +115,8 @@ def _ssyt_of_weight(b, n, outer=None):
 
 def kostka(lam, b):
     """Classical Kostka number: the strip chains of weight b inside lam.
-    Rejects what as_comp rejects, and a lam that is not a partition."""
-    lam, b = as_comp(lam), as_comp(b)
-    if not is_partition(lam):
-        raise ValueError(f"shape {lam} is not a partition")
+    Rejects what as_partition rejects of lam and as_comp of b."""
+    lam, b = as_partition(lam), as_comp(b)
     n = max(len(strip(lam)), len(strip(b)), 1)
     return len(_ssyt_of_weight(b, n, outer=lam)) if sum(lam) == sum(b) else 0
 

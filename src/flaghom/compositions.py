@@ -67,6 +67,14 @@ def is_partition(a):
     return all(a[i] >= a[i + 1] for i in range(len(a) - 1))
 
 
+def as_partition(lam):
+    """lam checked by as_comp and to be a partition (weakly decreasing)."""
+    lam = as_comp(lam)
+    if not is_partition(lam):
+        raise ValueError(f"shape {lam} is not a partition")
+    return lam
+
+
 def sort_comp(a):
     return tuple(sorted(a, reverse=True))
 

@@ -10,7 +10,7 @@ from itertools import product
 from math import prod
 
 from .bases import BasisExpansion
-from .compositions import as_comp, key_poset_leq, pad
+from .compositions import as_comp, as_partition, key_poset_leq
 from .fillings import enumerate_fillings, is_member, key_diagram, shape_of
 
 # ---------------------------------------------------------------------------
@@ -67,42 +67,35 @@ def connected_components(cells):
 
 
 def complement_shape(S, b):
-    """Shape of D(b) minus S if it is again left-justified, else None."""
-    b = tuple(b)
-    S = frozenset(S)
-    host = key_diagram(b)
-    if not S <= host:
+    """The composition e with D(b) - S = D(e), or None if there is none: e
+    is b less S's cells row by row, and S must be the cells (c, r) with
+    c > e_r.  Rejects what as_comp rejects of b and cells outside D(b)."""
+    b, S = as_comp(b), frozenset(S)
+    if not S <= key_diagram(b):
         raise ValueError("cells lie outside the key diagram")
-    rest = host - S
-    a = [0] * len(b)
-    for c, r in rest:
-        a[r - 1] += 1
-    return tuple(a) if key_diagram(a) == rest else None
+    e = list(b)
+    for _, r in S:
+        e[r - 1] -= 1
+    return tuple(e) if all(c > e[r - 1] for c, r in S) else None
 
 
 def is_snake(S, b):
     """Weakly connected, complement a key-poset-lower key diagram, and free
     of the horizontal-pair-with-lower-right-cell triple.  The empty set is
-    accepted vacuously."""
-    S = frozenset(S)
-    if not S:
-        return True
-    a = complement_shape(S, b)
-    return a is not None and _snake_predicate(a, b)
+    accepted: its complement is b.  Rejects what complement_shape rejects."""
+    e = complement_shape(S, b)
+    return e == tuple(b) or e is not None and _snake_predicate(e, b)
 
 
-def lowest_column_one_cell(b):
-    r = next((i for i, part in enumerate(b, start=1) if part > 0), None)
-    return None if r is None else (1, r)
+def _anchor_row(d):
+    """The lowest nonempty row of d, counted from 1, or None if d is zero."""
+    return next((r for r, part in enumerate(d, start=1) if part), None)
 
 
 def is_special_snake(S, b):
     """A snake that is empty or contains the lowest cell in column 1."""
     S = frozenset(S)
-    if not S:
-        return True
-    anchor = lowest_column_one_cell(b)
-    return anchor in S and is_snake(S, b)
+    return is_snake(S, b) and (not S or (1, _anchor_row(b)) in S)
 
 
 def snake_sign(S):
@@ -114,8 +107,8 @@ def _special_pieces(d, predicate):
     """Special pieces D(d) - D(e) of the residual shape d, named by their
     complement compositions e with e_anchor = 0: the e that predicate(e, d)
     accepts."""
-    anchor = lowest_column_one_cell(d)
-    ranges = [range(p + 1) if (1, r) != anchor else (0,) for r, p in enumerate(d, 1)]
+    anchor = _anchor_row(d)
+    ranges = [range(p + 1) if r != anchor else (0,) for r, p in enumerate(d, 1)]
     return [] if anchor is None else [e for e in product(*ranges) if predicate(e, d)]
 
 
@@ -161,11 +154,11 @@ def _snake_pieces(d):
     d = tuple(d)
     if d in _piece_cache:
         return _piece_cache[d]
-    anchor = lowest_column_one_cell(d)
+    anchor = _anchor_row(d)
     pieces = []
     if anchor is not None:
         e, top = [0] * len(d), [part + 1 for part in d]
-        top[anchor[1] - 1] = 1  # the anchor cell stays in the piece
+        top[anchor - 1] = 1  # the anchor cell stays in the piece
 
         def grow(s):
             if s == len(d):
@@ -241,7 +234,7 @@ def _tabloids(shape, pieces):
 
     def go(d):
         if d not in memo:
-            r = lowest_column_one_cell(d)[1]
+            r = _anchor_row(d)
             host = key_diagram(d)
             memo[d] = tuple(rest[:r - 1] + (S,) + rest[r:]
                             for e in pieces(d)
@@ -295,7 +288,7 @@ def expand_key_into_h(b, n=None):
     def go(d):
         # weight -> signed count of the completions of d
         if d not in memo:
-            r = lowest_column_one_cell(d)[1]
+            r = _anchor_row(d)
             memo[d] = tally = {}
             for e in _snake_pieces(d):
                 size = sum(d) - sum(e)
@@ -315,14 +308,11 @@ def expand_key_into_h(b, n=None):
 def is_rim_hook(S, mu):
     """Rim hook of the partition mu, as a subset of the left-justified
     diagram of rev(mu): connected, complement again of that form, and free
-    of 2 x 2 blocks."""
-    mu = tuple(mu)
-    host_shape = tuple(reversed(mu))
-    S = frozenset(S)
-    if not S:
-        return True
-    e = complement_shape(S, host_shape)
-    return e is not None and _rim_hook_predicate(e, host_shape)
+    of 2 x 2 blocks.  The empty set is accepted.  Rejects what as_partition
+    rejects of mu and cells outside the diagram."""
+    shape = as_partition(mu)[::-1]
+    e = complement_shape(S, shape)
+    return e == shape or e is not None and _rim_hook_predicate(e, shape)
 
 
 def _rim_hook_predicate(e, d):
@@ -340,8 +330,9 @@ def _rim_hook_predicate(e, d):
 
 def enumerate_special_rim_hook_tabloids(mu):
     """Tabloids of shape rev(mu) whose pieces are special rim hooks; same
-    recursion as the snake tabloids with the rim hook conditions instead."""
-    shape = tuple(reversed(tuple(mu)))
+    recursion as the snake tabloids with the rim hook conditions instead.
+    Rejects what as_partition rejects of mu."""
+    shape = as_partition(mu)[::-1]
     return [SnakeTabloid(shape, snakes) for snakes in _tabloids(
         shape, lambda d: _special_pieces(d, _rim_hook_predicate))]
 
@@ -354,13 +345,12 @@ def gset_enumerate(S, b):
     """Fillings of D(b) that are 1 on the special snake S and restrict to an
     SSKT in the window len(b) on the complement key diagram.  Rejects what
     as_comp rejects of b."""
-    b = as_comp(b)
-    S = frozenset(S)
+    b, S = as_comp(b), frozenset(S)
     if not is_special_snake(S, b):
         raise ValueError("not a special snake of the diagram")
     a = complement_shape(S, b)
     return [tuple(inner[r] + (1,) * (b[r] - a[r]) for r in range(len(b)))
-            for inner in enumerate_fillings(pad(a, len(b)), len(b), "SSKT")]
+            for inner in enumerate_fillings(a, len(b), "SSKT")]
 
 
 def s_attacks(S, rows, b):
@@ -389,17 +379,15 @@ def s_attacks(S, rows, b):
 
 
 def in_gset(S, rows, b):
-    b = tuple(b)
-    S = frozenset(S)
-    if shape_of(rows) != b:
+    """Whether rows lie in the domain of the involution for S: rows of
+    shape b, 1 on S, and off S an SSKT in the window len(b) on D(e), e the
+    complement_shape of S (False if there is none).  Rejects what
+    complement_shape rejects."""
+    b, S = as_comp(b), frozenset(S)
+    e = complement_shape(S, b)
+    if e is None or shape_of(rows) != b or any(rows[r - 1][c - 1] != 1 for c, r in S):
         return False
-    a = complement_shape(S, b)
-    if a is None:
-        return False
-    if any(rows[r - 1][c - 1] != 1 for c, r in S):
-        return False
-    inner = tuple(rows[r - 1][: a[r - 1]] for r in range(1, len(b) + 1))
-    return is_member(inner, "SSKT", len(b))
+    return is_member(tuple(row[:k] for row, k in zip(rows, e)), "SSKT", len(b))
 
 
 def iota(S, rows, b):
@@ -411,10 +399,9 @@ def iota(S, rows, b):
     Only defined on pairs where the filling is 1 on the snake, an SSKT off
     it, but not an SSKT outright, and the first part of b is positive.
     """
-    b = tuple(b)
+    b, S = as_comp(b), frozenset(S)
     if not b or b[0] == 0:
         raise ValueError("first part of the shape must be positive")
-    S = frozenset(S)
     if not is_special_snake(S, b) or not in_gset(S, rows, b):
         raise ValueError("pair is outside the domain of the involution")
     attacks = s_attacks(S, rows, b)

@@ -483,7 +483,7 @@ def suite_regressions(report, n, deg):
                  ((2, 1), frozenset({(1, 1), (2, 1), (1, 2)}))]:
         gen = Poly.from_terms((weight_of(rows, len(b)), 1)
                               for rows in gset_enumerate(S, b))
-        rest = pad(complement_shape(S, b), len(b))
+        rest = complement_shape(S, b)
         report.equal(Poly.variable(1) ** len(S) * key_polynomial(rest, len(b)), gen,
                      name=f"decorated generating function {b} {sorted(S)}")
 

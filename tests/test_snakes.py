@@ -78,15 +78,23 @@ def test_snakes_of_reversed_partition_are_rim_hooks():
                 assert is_snake(S, shape) == is_rim_hook(S, mu), (mu, sorted(S))
 
 
+def _complement_by_cells(S, b):
+    """The composition a with key_diagram(a) == key_diagram(b) - S, counted
+    from the cells left in each row, or None if the rest is not a key
+    diagram."""
+    rest = key_diagram(b) - S
+    a = tuple(sum(1 for _, r in rest if r == row) for row in range(1, len(b) + 1))
+    return a if rest == key_diagram(a) else None
+
+
 def _snake_by_definition(S, b):
     """The cell-set definition: one weakly connected component, no triple
     (c, s), (c+1, s), (c+1, r) with r < s, and a complement that is the key
     diagram of a composition below b in the key poset."""
     if not S:
         return True
-    rest = key_diagram(b) - S
-    a = tuple(sum(1 for _, r in rest if r == row) for row in range(1, len(b) + 1))
-    return (rest == key_diagram(a) and key_poset_leq(a, b)
+    a = _complement_by_cells(S, b)
+    return (a is not None and key_poset_leq(a, b)
             and len(weakly_connected_components(S)) == 1
             and not any((c + 1, s) in S and (c + 1, r) in S
                         for c, s in S for r in range(1, s)))
@@ -101,6 +109,7 @@ def test_snake_test_matches_cell_set_definition():
                 for mask in range(1 << len(cells)):
                     S = frozenset(cells[t] for t in range(len(cells)) if mask >> t & 1)
                     assert is_snake(S, b) == _snake_by_definition(S, b), (b, sorted(S))
+                    assert complement_shape(S, b) == _complement_by_cells(S, b), (b, sorted(S))
                     checked += 1
     assert checked == 11_648
 
@@ -463,13 +472,24 @@ def test_tabloids_reject_negative_parts():
     # and validate_special_snake_tabloid once answered False for it
     with pytest.raises(ValueError):
         validate_special_snake_tabloid((1, -1), (frozenset(), frozenset()))
+    # the rim hooks once took a shape that is not a partition
+    for call in [lambda: enumerate_special_rim_hook_tabloids((1, 2)),
+                 lambda: is_rim_hook({(1, 1)}, (1, 2))]:
+        with pytest.raises(ValueError, match=r"shape \(1, 2\) is not a partition"):
+            call()
     # inverse_ktilde once read the weight (True,) as (1,), key_poset_leq
-    # once held (-1,) below (1,), and gset_enumerate once listed one filling
-    # of the shape (-1,)
-    for bad in [(-1,), (1.5,), (True,)]:
+    # once held (-1,) below (1,), gset_enumerate once listed one filling
+    # of the shape (-1,), and the snake predicates once answered the empty
+    # snake, and in_gset compared shapes, before looking at the shape
+    for bad in [(-1,), (1.5,), (True,), (1, -1)]:
         for call in [lambda: inverse_ktilde(bad, (1,)), lambda: inverse_ktilde((1,), bad),
                      lambda: key_poset_leq(bad, (1,)), lambda: key_poset_leq((1,), bad),
-                     lambda: gset_enumerate(frozenset(), bad)]:
+                     lambda: gset_enumerate(frozenset(), bad),
+                     lambda: is_snake(frozenset(), bad),
+                     lambda: is_special_snake(frozenset(), bad),
+                     lambda: is_rim_hook(frozenset(), bad),
+                     lambda: in_gset(frozenset(), ((1,), ()), bad),
+                     lambda: enumerate_special_rim_hook_tabloids(bad)]:
             with pytest.raises(ValueError):
                 call()
 
