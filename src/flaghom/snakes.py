@@ -1,8 +1,9 @@
 """Snakes of key diagrams, special snake tabloids, the signed inverse of the
 flagged Kostka matrix, and the sign-reversing involution that proves the
-expansion.  A piece D(d) - D(e) of a residual shape d is named by e, and the
-signed inverse is tallied over residual shapes.  The rim hook analogues on
-partition shapes live here too, as an independent cross-check."""
+expansion.  A piece D(d) - D(e) of a residual shape d is named by e, and one
+memoized sum over residual shapes both lists the tabloids and tallies the
+signed inverse.  The rim hook analogues on partition shapes live here too,
+as an independent cross-check."""
 
 import json
 from collections import namedtuple
@@ -34,24 +35,16 @@ def connected(u, v):
 
 
 def components(cells, related):
-    """Equivalence classes of the transitive closure of a cell relation."""
-    cells = list(cells)
-    parent = {u: u for u in cells}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for i, u in enumerate(cells):
-        for v in cells[i + 1:]:
-            if related(u, v):
-                parent[find(u)] = find(v)
-    groups = {}
-    for u in cells:
-        groups.setdefault(find(u), set()).add(u)
-    return list(groups.values())
+    """Equivalence classes of the transitive closure of a symmetric relation."""
+    todo, groups = set(cells), []
+    while todo:
+        group = [todo.pop()]
+        for u in group:
+            near = {v for v in todo if related(u, v)}
+            todo -= near
+            group += near
+        groups.append(set(group))
+    return groups
 
 
 def weakly_connected_components(cells):
@@ -92,10 +85,16 @@ def _anchor_row(d):
     return next((r for r, part in enumerate(d, start=1) if part), None)
 
 
+def _special_complement(S, b):
+    """complement_shape(S, b) if the cell set S is a special snake of b."""
+    e = complement_shape(S, b)
+    special = e is not None and (not S or (1, _anchor_row(b)) in S and _snake_predicate(e, b))
+    return e if special else None
+
+
 def is_special_snake(S, b):
     """A snake that is empty or contains the lowest cell in column 1."""
-    S = frozenset(S)
-    return is_snake(S, b) and (not S or (1, _anchor_row(b)) in S)
+    return _special_complement(frozenset(S), b) is not None
 
 
 def snake_sign(S):
@@ -225,24 +224,35 @@ def tabloid_json_texts(tabloids):
                f'"snakes": [{", ".join(cells)}], "weight": [{", ".join(sizes)}]}}')
 
 
-def _tabloids(shape, pieces):
-    """Snake sequences of every tabloid of the shape, depth first, taking
-    from each residual shape d the pieces D(d) - D(e), e in pieces(d).  A
-    piece empties the anchor row, d's lowest nonempty row, and is written
-    there; the sequences completing d, and their pieces, are built once."""
-    memo = {(0,) * len(shape): ((frozenset(),) * len(shape),)}
+def _tabloid_sum(shape, steps, blank):
+    """{sequence: coefficient} over the tabloids of the shape, memoized by
+    residual shape d.  steps(d) lists (e, entry, factor) per piece
+    D(d) - D(e), which empties d's anchor row: entry goes there in each
+    sequence completing e, whose coefficient is multiplied by factor."""
+    memo = {(0,) * len(shape): {(blank,) * len(shape): 1}}
 
     def go(d):
         if d not in memo:
             r = _anchor_row(d)
-            host = key_diagram(d)
-            memo[d] = tuple(rest[:r - 1] + (S,) + rest[r:]
-                            for e in pieces(d)
-                            for S in (host - key_diagram(e),)
-                            for rest in go(e))
+            memo[d] = tally = {}
+            for e, entry, factor in steps(d):
+                for seq, c in go(e).items():
+                    seq = seq[:r - 1] + (entry,) + seq[r:]
+                    tally[seq] = tally.get(seq, 0) + factor * c
         return memo[d]
 
     return go(tuple(shape))
+
+
+def _tabloids(shape, pieces):
+    """Snake sequences of every tabloid of the shape, depth first: from each
+    residual shape d, whose cells are built once, the pieces D(d) - D(e) for
+    e in pieces(d)."""
+    def steps(d):
+        host = key_diagram(d)
+        return [(e, host - key_diagram(e), 1) for e in pieces(d)]
+
+    return _tabloid_sum(shape, steps, frozenset())
 
 
 def enumerate_special_snake_tabloids(b):
@@ -277,28 +287,15 @@ def inverse_ktilde(a, b):
 def expand_key_into_h(b, n=None):
     """Signed expansion of the key polynomial of b in the flagged
     homogeneous basis: the snake tabloids of shape b counted with sign by
-    weight over the residual shapes of _tabloids, without listing them, as
-    Egecioglu and Remmel count rim hook tabloids.  A piece D(d) - D(e) has
-    size sum(d) - sum(e), at the anchor row, and sign (-1)^(h - 1), h the
-    rows with e_r < d_r.  Rejects what as_comp(b, n) rejects."""
-    b = as_comp(b, n)
-    zero = (0,) * len(b)
-    memo = {zero: {zero: 1}}
+    weight by the sum that lists them, without listing them, as Egecioglu
+    and Remmel count rim hook tabloids: a piece D(d) - D(e) enters its size
+    sum(d) - sum(e), with sign (-1)^(h - 1), h the rows with e_r < d_r.
+    Rejects what as_comp(b, n) rejects."""
+    def steps(d):
+        return [(e, sum(d) - sum(e), (-1) ** (sum(x < y for x, y in zip(e, d)) - 1))
+                for e in _snake_pieces(d)]
 
-    def go(d):
-        # weight -> signed count of the completions of d
-        if d not in memo:
-            r = _anchor_row(d)
-            memo[d] = tally = {}
-            for e in _snake_pieces(d):
-                size = sum(d) - sum(e)
-                sign = (-1) ** (sum(x < y for x, y in zip(e, d)) - 1)
-                for w, c in go(e).items():
-                    w = w[:r - 1] + (size,) + w[r:]
-                    tally[w] = tally.get(w, 0) + sign * c
-        return memo[d]
-
-    return BasisExpansion("h-flagged", go(b))
+    return BasisExpansion("h-flagged", _tabloid_sum(as_comp(b, n), steps, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +343,9 @@ def gset_enumerate(S, b):
     SSKT in the window len(b) on the complement key diagram.  Rejects what
     as_comp rejects of b."""
     b, S = as_comp(b), frozenset(S)
-    if not is_special_snake(S, b):
+    a = _special_complement(S, b)
+    if a is None:
         raise ValueError("not a special snake of the diagram")
-    a = complement_shape(S, b)
     return [tuple(inner[r] + (1,) * (b[r] - a[r]) for r in range(len(b)))
             for inner in enumerate_fillings(a, len(b), "SSKT")]
 
@@ -379,12 +376,12 @@ def s_attacks(S, rows, b):
 
 
 def in_gset(S, rows, b):
-    """Whether rows lie in the domain of the involution for S: rows of
-    shape b, 1 on S, and off S an SSKT in the window len(b) on D(e), e the
-    complement_shape of S (False if there is none).  Rejects what
+    """Whether (S, rows) lies in the domain of the involution: S a special
+    snake of b, rows of shape b, 1 on S, and off S an SSKT in the window
+    len(b) on D(e), e the complement_shape of S.  Rejects what
     complement_shape rejects."""
     b, S = as_comp(b), frozenset(S)
-    e = complement_shape(S, b)
+    e = _special_complement(S, b)
     if e is None or shape_of(rows) != b or any(rows[r - 1][c - 1] != 1 for c, r in S):
         return False
     return is_member(tuple(row[:k] for row, k in zip(rows, e)), "SSKT", len(b))
@@ -402,12 +399,12 @@ def iota(S, rows, b):
     b, S = as_comp(b), frozenset(S)
     if not b or b[0] == 0:
         raise ValueError("first part of the shape must be positive")
-    if not is_special_snake(S, b) or not in_gset(S, rows, b):
+    if not in_gset(S, rows, b):
         raise ValueError("pair is outside the domain of the involution")
     attacks = s_attacks(S, rows, b)
     if not attacks:
         raise ValueError("no attack found; the filling is an SSKT or outside the domain")
-    x = max((xx for xx, _ in attacks), key=lambda cell: (cell[0], cell[1]))
+    x = max(xx for xx, _ in attacks)
     y = max((yy for xx, yy in attacks if xx == x), key=lambda cell: (cell[0], -cell[1]))
     cy, ry = y
     block = frozenset((c, ry) for c in range(cy, b[ry - 1] + 1))

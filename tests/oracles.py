@@ -5,8 +5,8 @@ more structured route, and shares no code with that route: the naive filling
 filter, the dominance order behind `dominance_key`, relabelling of supports,
 the lift of a square matrix into the lower triangle, the Demazure
 operator recursion for keys and atoms, the key-to-h expansion as a sum
-over listed snake tabloids, the snake tabloids listed row by row from cell
-subsets, and the SSYT of one weight listed shape by shape.
+over listed snake tabloids, the snake and rim hook tabloids listed row by
+row from cell subsets, and the SSYT of one weight listed shape by shape.
 """
 
 from collections import Counter
@@ -121,12 +121,12 @@ def expand_key_into_h_by_tabloids(b, n=None):
     return BasisExpansion("h-flagged", terms)
 
 
-def snake_tabloids_by_rows(b):
-    """Snake sequences of the special snake tabloids of shape b, by rows:
-    row i takes the empty snake if residual row i is empty, else each
-    nonempty subset of the residual diagram that is_special_snake accepts,
-    and the residual loses its cells; a sequence counts if nothing is left.
-    No memo; the oracle of enumerate_special_snake_tabloids."""
+def snake_tabloids_by_rows(b, is_piece=is_special_snake):
+    """Piece sequences of the tabloids of shape b, by rows: row i takes the
+    empty piece if residual row i is empty, else each nonempty subset S of
+    the residual diagram d with is_piece(S, d), and the residual loses its
+    cells; a sequence counts if nothing is left.  No memo; with the default
+    is_special_snake, the oracle of enumerate_special_snake_tabloids."""
     def go(d, i):
         if i == len(d):
             return [] if any(d) else [()]
@@ -136,7 +136,7 @@ def snake_tabloids_by_rows(b):
         out = []
         for mask in range(1, 2 ** len(cells)):
             S = frozenset(cell for k, cell in enumerate(cells) if mask >> k & 1)
-            if is_special_snake(S, d):
+            if is_piece(S, d):
                 e = tuple(part - sum(r == row for _, r in S) for row, part in enumerate(d, 1))
                 out += [(S,) + rest for rest in go(e, i + 1)]
         return out

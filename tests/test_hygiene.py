@@ -10,6 +10,8 @@ No library code lists SSYT of a fixed weight through ``enumerate_fillings``:
 the strip walk ``bases._ssyt_of_weight`` is their one implementation.
 No library function both tests ``type(x) is not int`` and compares x by
 order: ``compositions.as_int`` is the one check of an integer with a bound.
+No library function but ``snakes._tabloid_sum`` nests a recursion that
+reads ``_anchor_row``: that sum is the one walk over residual shapes.
 A fresh ``import flaghom.cli`` does not load ``dataclasses``, the heaviest
 module of the package's cold import; a record is a named tuple or a plain class.
 Test-only code lives in ``tests/oracles.py``: every library definition is
@@ -218,6 +220,41 @@ def test_detects_a_weighted_ssyt_listing():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_weighted_ssyt_come_from_the_strip_walk(path):
     assert weighted_ssyt_calls(path.read_text()) == []
+
+
+def residual_walks(source):
+    """Names outer.inner of each function nested in a function other than
+    _tabloid_sum that calls itself and calls _anchor_row: a recursion over
+    residual shapes besides the one sum."""
+    found = []
+    for f in ast.walk(ast.parse(source)):
+        if not isinstance(f, ast.FunctionDef) or f.name == "_tabloid_sum":
+            continue
+        for g in ast.walk(f):
+            if g is f or not isinstance(g, ast.FunctionDef):
+                continue
+            called = {getattr(c.func, "id", getattr(c.func, "attr", None))
+                      for c in ast.walk(g) if isinstance(c, ast.Call)}
+            if {g.name, "_anchor_row"} <= called:
+                found.append(f"{f.name}.{g.name}")
+    return found
+
+
+def test_detects_a_second_residual_walk():
+    source = ("def _tabloid_sum(shape):\n    def go(d):\n"
+              "        return _anchor_row(d), go(d)\n\n"
+              "def _tabloids(shape):\n    def go(d):\n"
+              "        return snakes._anchor_row(d), go(d)\n\n"
+              "def expand(b):\n    def go(d):\n        r = _anchor_row(d)\n"
+              "        return [go(e) for e in d]\n    return go(b)\n\n"
+              "def pieces(d):\n    def grow(s):\n        return grow(s + 1)\n\n"
+              "def anchored(d):\n    def row(d):\n        return _anchor_row(d)\n")
+    assert residual_walks(source) == ["_tabloids.go", "expand.go"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_residual_shapes_are_walked_by_one_sum(path):
+    assert residual_walks(path.read_text()) == []
 
 
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)

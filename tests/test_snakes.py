@@ -346,6 +346,20 @@ def test_rim_hook_tabloids_match_snake_tabloids():
             assert snake_counts == hook_counts, mu
 
 
+def is_special_rim_hook(S, d):
+    return (1, next(r for r, part in enumerate(d, 1) if part)) in S and is_rim_hook(S, d[::-1])
+
+
+def test_rim_hook_tabloids_match_a_listing_by_rows():
+    count = 0
+    shapes = [mu for d in range(1, 7) for mu in partitions_of(d)]
+    for mu in shapes:
+        want = by_cells(snake_tabloids_by_rows(mu[::-1], is_special_rim_hook))
+        assert by_cells(U.snakes for U in enumerate_special_rim_hook_tabloids(mu)) == want, mu
+        count += len(want)
+    assert (len(shapes), count) == (29, 150)
+
+
 def test_relabelled_shapes_have_matching_expansions():
     # expansions of shapes with an empty first row match their compaction
     cases = [((0, 2, 1), (2, 3), (1, 2)), ((0, 1, 0, 2), (2, 4), (1, 2)),
@@ -374,6 +388,17 @@ def test_gset_examples():
     assert is_special_snake(frozenset(), (2, 0))
     assert gset_enumerate(frozenset(), (2, 0)) == [((1, 1), ())]
     assert gset_enumerate(frozenset(), (0, 1)) == [((), (1,)), ((), (2,))]
+
+
+def test_gset_holds_only_special_snakes():
+    # {(2, 2)} leaves the key diagram of (2, 1), but misses the anchor cell
+    # (1, 1) and is not a snake of (2, 2)
+    S, rows = frozenset({(2, 2)}), ((1, 1), (2, 1))
+    assert complement_shape(S, (2, 2)) == (2, 1)
+    assert not is_snake(S, (2, 2))
+    assert not in_gset(S, rows, (2, 2))
+    with pytest.raises(ValueError, match="outside the domain"):
+        iota(S, rows, (2, 2))
 
 
 def test_gset_generating_function():
