@@ -4,14 +4,16 @@ counted by lower triangular matrices.
 
 Closures are walked on packed diagrams.  With C the number of occupied
 columns, row r holds its cells in bits [(r - 1)C, rC) of one integer; the
-weight is one integer in base B = |D| + 1, digit r - 1 counting row r, so a
-move from row src to dest adds B^dest - B^src.  A move lowers the row sum, so
-the walk pops row-sum buckets from the highest down, each complete, and keeps
-no visited set of the whole closure.  ``kohnert_moves`` is the oracle.  A
-weight decodes by powers of B computed once, up to its top nonzero digit; each
+weight is one integer in base B = |D| + 1, digit r - 1 counting row r.  Each
+move is one lookup, by the bit lengths of a row's rightmost cell and of the
+highest vacancy below it, in tables built once per diagram: the bits it flips,
+the weight it adds and the rows it drops.  A move lowers the row sum, so the
+walk pops a list of row-sum buckets from the top, each complete, and keeps no
+visited set of the whole closure.  ``kohnert_moves`` is the oracle.  A weight
+decodes by powers of B computed once, up to its top nonzero digit; each
 diagram's terms are memoized, and every call gets a fresh Poly."""
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 from .compositions import as_comp, as_matrix, is_lower_triangular
 from .fillings import weight_of
@@ -67,29 +69,33 @@ def kohnert_moves(D):
 
 
 def _walk(D):
-    """Yield the cell of each bit, B and each row-sum bucket {diagram: weight} of checked D."""
+    """Yield the cell of each bit, B and each row-sum bucket {diagram: weight}
+    of checked D; below[p] and move[p][q] read bits p - 1 and q - 1."""
     cols = sorted({c for c, _ in D})  # a move keeps its column
     C, R, B = len(cols), max((r for _, r in D), default=0), len(D) + 1
-    full = (1 << C) - 1
-    power = [B ** (i // C) for i in range(R * C)]  # the weight of a cell, by bit
-    # row r > 0: its shift, the cells below it by column and the weight of its cells
-    rows = [(r, r * C, [sum(1 << (s * C + c) for s in range(r)) for c in range(C)], B ** r)
-            for r in range(1, R)]
     cells = [(c, r) for r in range(1, R + 1) for c in cols]
-    start = sum(1 << cells.index(cell) for cell in D)
-    buckets = defaultdict(dict, {sum(r for _, r in D): {start: sum(B ** (r - 1) for _, r in D)}})
+    height = Counter(c for c, _ in D)  # a cell drops at most this many rows
+    below, move = [0] * (R * C + 1), [None] * (R * C + 1)
+    for i in range(C, R * C):  # bit i holds column cols[c] of row r + 1
+        r, c = divmod(i, C)
+        below[i + 1] = below[i + 1 - C] | 1 << i - C
+        move[i + 1] = {i + 1 - k * C: (1 << i | 1 << i - k * C, B ** (r - k) - B ** r, k)
+                       for k in range(1, min(r, height[cols[c]]) + 1)}
+    rows = [(1 << C) - 1 << r * C for r in range(1, R)]  # rows 2..R
+    buckets = [{} for _ in range(sum(r for _, r in D) + 1)]  # by row sum
+    buckets[-1][sum(1 << cells.index(cell) for cell in D)] = sum(B ** (r - 1) for _, r in D)
     while buckets:
-        bucket = buckets.pop(s := max(buckets))
+        bucket = buckets.pop()  # buckets[-k] now holds the row sum k lower
         yield cells, B, bucket
         for T, w in bucket.items():
-            for r, shift, below, src in rows:
-                row = T >> shift & full
-                if row:
-                    c = row.bit_length() - 1  # the rightmost cell of row r
-                    d = (below[c] & ~T).bit_length() - 1  # the highest vacancy below it
-                    if d >= 0:
-                        buckets[s - r + d // C][T ^ (1 << shift + c | 1 << d)] = (
-                            w - src + power[d])
+            vacant = ~T
+            for row in rows:
+                p = (T & row).bit_length()  # the rightmost cell of the row
+                if p:
+                    q = (below[p] & vacant).bit_length()  # the highest vacancy below it
+                    if q:
+                        flip, gain, drop = move[p][q]
+                        buckets[-drop][T ^ flip] = w + gain
 
 
 def kohnert_closure(D):

@@ -355,12 +355,16 @@ def s_attacks(S, rows, b):
     y above x or in the column to its right, and, when the columns differ,
     no snake cell immediately left of y.  Rejects what as_comp rejects of
     b, rows not of shape b and a snake cell outside D(b)."""
-    b = as_comp(b)
-    S = frozenset(S)
+    b, S = as_comp(b), frozenset(S)
     if shape_of(rows) != b:
         raise ValueError(f"filling of shape {shape_of(rows)}, not {b}")
     if not S <= key_diagram(b):
         raise ValueError("cells lie outside the key diagram")
+    return _attacks(S, rows, b)
+
+
+def _attacks(S, rows, b):
+    """s_attacks of a snake S inside D(b) and rows of shape b, unchecked."""
     out = []
     for cx, rx in sorted(S):
         if rows[rx - 1][cx - 1] != 1:
@@ -401,7 +405,7 @@ def iota(S, rows, b):
         raise ValueError("first part of the shape must be positive")
     if not in_gset(S, rows, b):
         raise ValueError("pair is outside the domain of the involution")
-    attacks = s_attacks(S, rows, b)
+    attacks = _attacks(S, rows, b)
     if not attacks:
         raise ValueError("no attack found; the filling is an SSKT or outside the domain")
     x = max(xx for xx, _ in attacks)

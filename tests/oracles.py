@@ -1,12 +1,24 @@
 """Independent oracles that only the tests read.
 
 Each one computes by the definition what the library computes by a faster or
-more structured route, and shares no code with that route: the naive filling
-filter, the dominance order behind `dominance_key`, relabelling of supports,
-the lift of a square matrix into the lower triangle, the Demazure
-operator recursion for keys and atoms, the key-to-h expansion as a sum
-over listed snake tabloids, the snake and rim hook tabloids listed row by
-row from cell subsets, and the SSYT of one weight listed shape by shape.
+more structured route: the naive filling filter, the dominance order behind
+`dominance_key`, relabelling of supports, the lift of a square matrix into
+the lower triangle, the Demazure operator recursion for keys and atoms, the
+key-to-h expansion as a sum over listed snake tabloids, the snake and rim
+hook tabloids listed row by row from cell subsets, and the SSYT of one weight
+listed shape by shape.  Most share no code with that route.  The exceptions:
+
+- `expand_key_into_h_by_tabloids` sums over `enumerate_special_snake_tabloids`,
+  which runs the same `snakes._tabloid_sum` over the same `snakes._snake_pieces`
+  as `expand_key_into_h`.  The two agree whenever their `steps` give a piece
+  the same sign and weight, so a wrong piece or recursion shows in neither.
+- `key_counts_by_shapes` tallies `frsk.rho_inverse`, which runs the
+  `frsk._rho_inverse` that `bases._key_counts` tallies.
+- `snake_tabloids_by_rows` tests its pieces by `is_special_snake`, which
+  reads `snakes._rows_connected`, as `snakes._snake_pieces` does.
+
+The naive filter reads `fillings.statistics`, which the filling backtracker
+`enumerate_fillings` and `is_member` do not.
 """
 
 from collections import Counter

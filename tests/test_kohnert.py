@@ -191,12 +191,23 @@ def test_walk_matches_the_oracle_on_every_Da():
     assert checked == 9023
 
 
+def test_walk_matches_the_oracle_on_every_diagram_in_a_3_by_4_grid():
+    # moves that jump over one or two occupied cells, and columns whose
+    # moves block one another
+    grid = [(c, r) for c in range(1, 4) for r in range(1, 5)]
+    checked = sum(assert_walk_matches_the_oracle(frozenset(D)) for k in range(len(grid) + 1)
+                  for D in combinations(grid, k))
+    assert checked == 35461
+
+
 def test_walk_matches_the_oracle_on_edge_cases():
     # no cell; an empty middle row; an empty middle column; a lone cell right
-    # of empty columns; a full column, which has no move
+    # of empty columns; a full column, which has no move; a tall diagram, so
+    # that the move tables and the row-sum buckets are sized by its rows
     column = frozenset((2, r) for r in range(1, 6))
     for D in [frozenset(), frozenset({(1, 1), (2, 3), (1, 3)}),
-              frozenset({(1, 2), (3, 2), (3, 1)}), frozenset({(9, 4)}), column]:
+              frozenset({(1, 2), (3, 2), (3, 1)}), frozenset({(9, 4)}), column,
+              frozenset({(1, 40), (2, 3)})]:
         assert_walk_matches_the_oracle(D)
     assert kohnert_closure(column) == {column}
 
