@@ -5,9 +5,12 @@ classical and flagged pictures.
 Matrices are tuples of row tuples with 1-based (i, j) semantics; a biword is
 a list of (top, bottom) pairs kept in the canonical order: top entries
 weakly increasing, bottom entries weakly decreasing within a constant top.
+
+Each insertion has one unchecked core, working in place on row lists, that its
+checked trace and the fold call; the column-set maps read columns from rows.
 """
 
-from itertools import product
+from itertools import zip_longest
 
 from .compositions import as_comp, as_int, as_matrix, is_lower_triangular
 from .fillings import is_member, shape_of
@@ -16,11 +19,8 @@ from .fillings import is_member, shape_of
 def biword_from_matrix(A):
     """Multiset of pairs (i, j) with multiplicity A[i][j], canonically ordered.
     Rejects what as_matrix rejects."""
-    pairs = []
-    for i, row in enumerate(as_matrix(A), start=1):
-        for j in range(len(row), 0, -1):
-            pairs.extend([(i, j)] * row[j - 1])
-    return pairs
+    return [(i, j) for i, row in enumerate(as_matrix(A), start=1)
+            for j in range(len(row), 0, -1) for _ in range(row[j - 1])]
 
 
 def matrix_from_biword(pairs, n=None):
@@ -50,41 +50,42 @@ def rsk_insert_trace(P, j):
     Rejects a j that is not an int (not a bool) >= 1.
     """
     rows = [list(r) for r in P]
-    as_int(j, 1, "entry")
     chain = []
-    r = 1
-    while True:
-        if r > len(rows):
-            rows.append([])
-        row = rows[r - 1]
+    _row_insert(rows, as_int(j, 1, "entry"), chain)
+    return tuple(map(tuple, rows)), chain
+
+
+def _row_insert(rows, j, chain):
+    """rsk_insert_trace in place on the row lists rows, unchecked: appends
+    each (column, row) to chain and returns the row of the new cell."""
+    for r, row in enumerate(rows, 1):
         pos = next((t for t, v in enumerate(row) if v < j), len(row))
         chain.append((pos + 1, r))
         if pos == len(row):
             row.append(j)
-            break
+            return r
         j, row[pos] = row[pos], j
-        r += 1
-    return tuple(tuple(r) for r in rows), chain
+    rows.append([j])
+    chain.append((1, len(rows)))
+    return len(rows)
 
 
-def _fold(A, insert):
-    """Fold the biword of A through insert(P, i, j) -> (P, chain); the
-    recording rows take the top letter i at each new cell.  Both insertions
-    end their chain by appending to the row it names.  Returns (P, Q)."""
-    P = ()
-    Q = []
+def _fold(A, insert, height):
+    """Fold the biword of A through insert(P, j, i, chain), which fills the
+    row lists P in place and returns the row where Q takes the top letter i.
+    P and Q start as height empty rows; tuples are made once, at the end."""
+    P, Q = [[] for _ in range(height)], [[] for _ in range(height)]
     for i, j in biword_from_matrix(A):
-        P, chain = insert(P, i, j)
-        r = chain[-1][1]
-        while len(Q) < r:
+        r = insert(P, j, i, [])
+        if r > len(Q):
             Q.append([])
         Q[r - 1].append(i)
-    return P, tuple(tuple(r) for r in Q)
+    return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
 def rsk(A):
     """Fold the biword of A through row insertion.  Returns (P, Q)."""
-    return _fold(A, lambda P, i, j: rsk_insert_trace(P, j))
+    return _fold(A, lambda P, j, i, chain: _row_insert(P, j, chain), 0)
 
 
 def rsk_inverse(P, Q, n=None):
@@ -94,27 +95,26 @@ def rsk_inverse(P, Q, n=None):
         raise ValueError("need a reverse SSYT and an SSYT")
     if shape_of(P) != shape_of(Q):
         raise ValueError("tableau shapes differ")
-    return _unfold(P, Q, n)
+    top = max((max(r) for r in (*P, *Q) if r), default=0)
+    if n is not None and as_int(n) < top:  # refuse as matrix_from_biword does
+        matrix_from_biword(biword_from_matrix(_unfold(P, Q, top)), n)
+    return _unfold(P, Q, top if n is None else n)
 
 
 def _unfold(P, Q, n):
-    """The matrix of the RSK pair (P, Q), unchecked.  The last cell row
-    insertion added holds Q's largest entry at the end of the longest row
-    ending in it: pop that cell, reverse its bumping chain down through P,
-    and the pairs come off the biword in reverse canonical order."""
+    """The matrix of the RSK pair (P, Q), unchecked, entries in [n].  Pop Q's
+    cells largest entry first, equal entries right to left, reverse each
+    one's bumping chain down through P, and count the pair it leaves."""
     P = [list(r) for r in P]
-    Q = [list(r) for r in Q]
-    pairs = []
-    while any(Q):
-        r = max((t for t, row in enumerate(Q, 1) if row),
-                key=lambda t: (Q[t - 1][-1], len(Q[t - 1])))
-        i, j = Q[r - 1].pop(), P[r - 1].pop()
+    M = [[0] * n for _ in range(n)]
+    for i, _, r in sorted(((v, c, r) for r, row in enumerate(Q, 1)
+                           for c, v in enumerate(row)), reverse=True):
+        j = P[r - 1].pop()
         for row in reversed(P[:r - 1]):
-            pos = max(t for t, v in enumerate(row) if v > j)
+            pos = sum(v > j for v in row) - 1  # the rightmost entry > j
             row[pos], j = j, row[pos]
-        pairs.append((i, j))
-    pairs.reverse()
-    return matrix_from_biword(pairs, n)
+        M[i - 1][j - 1] += 1
+    return tuple(map(tuple, M))
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +147,30 @@ def flagged_insert_trace(S, j, n):
         raise ValueError(f"entry {j} outside [{n}]")
     rows += [[] for _ in range(n - len(rows))]
     chain = []
+    _flagged_insert(rows, j, n, chain)
+    return tuple(map(tuple, rows)), chain
+
+
+def _flagged_insert(rows, j, n, chain):
+    """flagged_insert_trace in place on row lists, empty past the window n,
+    unchecked: appends each (column, row) to chain, returns the last row."""
     hi = max(map(len, rows)) + 1
     while True:
-        for c, r in product(range(hi, 0, -1), range(n, 0, -1)):
-            row = rows[r - 1]
-            if (len(row) >= c - 1 and (r if c == 1 else row[c - 2]) >= j
-                    and (len(row) == c - 1 or row[c - 1] < j)):
-                break
+        for c in range(hi, 0, -1):
+            for r in range(n, 0, -1):
+                row = rows[r - 1]
+                if (len(row) >= c - 1 and (row[c - 2] if c > 1 else r) >= j
+                        and (len(row) == c - 1 or row[c - 1] < j)):
+                    break
+            else:
+                continue
+            break
         else:
             raise ValueError("no admissible position; input is not an SSKT")
         chain.append((c, r))
         if len(row) == c - 1:
             row.append(j)
-            return tuple(tuple(r) for r in rows), chain
+            return r
         j, row[c - 1] = row[c - 1], j
         hi = c
 
@@ -175,8 +186,7 @@ def frsk(L):
     """
     if not is_lower_triangular(L):
         raise ValueError("matrix is not square and lower triangular")
-    S, T = _fold(L, lambda S, i, j: flagged_insert_trace(S, j, i))
-    return pad_rows(S, len(L)), pad_rows(T, len(L))
+    return _fold(L, _flagged_insert, len(L))
 
 
 def frsk_inverse(S, T):
@@ -199,36 +209,26 @@ def frsk_inverse(S, T):
 
 
 def pad_rows(rows, n):
-    rows = tuple(tuple(r) for r in rows)
-    return rows + ((),) * (n - len(rows))
+    return tuple(map(tuple, rows)) + ((),) * (n - len(rows))
 
 
 # ---------------------------------------------------------------------------
 # column-set maps between the flagged and classical pictures
 
 
-def _column_multisets(rows):
-    cols = {}
-    for row in rows:
-        for c, e in enumerate(row, start=1):
-            cols.setdefault(c, []).append(e)
-    return cols
-
-
-def _stack_columns(cols, descending):
-    stacks = [sorted(cols[c], reverse=descending) for c in range(1, max(cols, default=0) + 1)]
-    return tuple(tuple(s[t] for s in stacks if len(s) > t)
-                 for t in range(max(map(len, stacks), default=0)))
+def _columns(rows):
+    """The columns of rows, read bottom to top: the transpose, which also stacks columns."""
+    return [[e for e in col if e is not None] for col in zip_longest(*rows)]
 
 
 def tau(S):
     """The reverse SSYT with the same column sets as the SSKT S."""
-    return _stack_columns(_column_multisets(S), descending=True)
+    return tuple(map(tuple, _columns([sorted(col, reverse=True) for col in _columns(S)])))
 
 
 def rho(T):
     """The SSYT with the same column sets as the rSSAF T."""
-    return _stack_columns(_column_multisets(T), descending=False)
+    return tuple(map(tuple, _columns([sorted(col) for col in _columns(T)])))
 
 
 def tau_dagger(P, a):
@@ -240,23 +240,21 @@ def tau_dagger(P, a):
     to shape a; raises if a column multiset cannot be placed at all.
     """
     a = as_comp(a)
-    cols = _column_multisets(P)
-    width = max(cols, default=0)
-    if width != max(a, default=0):
+    cols = _columns(P)
+    if len(cols) != max(a, default=0):
         raise ValueError("width of P differs from the shape")
-    rows = [[0] * a[r - 1] for r in range(1, len(a) + 1)]
-    for c in range(width, 0, -1):
-        hosts = [r for r in range(1, len(a) + 1) if a[r - 1] >= c]
-        remaining = sorted(cols.get(c, []))
+    rows = [[0] * part for part in a]
+    for c in range(len(cols), 0, -1):
+        hosts = [row for row in rows if len(row) >= c]
+        remaining = sorted(cols[c - 1])
         if len(remaining) != len(hosts):
             raise ValueError("column multiset size differs from the shape")
-        for r in hosts:
-            floor = rows[r - 1][c] if a[r - 1] >= c + 1 else None
-            pick = next((t for t, e in enumerate(remaining) if floor is None or e >= floor), None)
+        for row in hosts:  # the entry right of column c, if any, is a floor
+            pick = next((t for t, e in enumerate(remaining) if len(row) == c or e >= row[c]), None)
             if pick is None:
                 raise ValueError("column multiset cannot keep rows decreasing")
-            rows[r - 1][c - 1] = remaining.pop(pick)
-    return tuple(tuple(r) for r in rows)
+            row[c - 1] = remaining.pop(pick)
+    return tuple(map(tuple, rows))
 
 
 def rho_inverse(Q, n=None):
@@ -274,16 +272,15 @@ def rho_inverse(Q, n=None):
 
 def _rho_inverse(Q, n):
     """rho_inverse(Q, n), unchecked: columns left to right, entries smallest
-    first, each into the topmost position immediately right of a weakly lesser
-    entry (basement allowed).  For an SSYT Q with entries in [n] such a
-    position always exists."""
-    cols = _column_multisets(Q)
+    first (as an SSYT column reads bottom to top), each into the topmost
+    position immediately right of a weakly lesser entry (basement allowed).
+    For an SSYT Q with entries in [n] such a position always exists."""
     rows = [[] for _ in range(n)]
-    for c in range(1, max(cols, default=0) + 1):
-        for e in sorted(cols[c]):
+    for c, col in enumerate(_columns(Q), 1):
+        for e in col:
             for r in range(n, 0, -1):
                 row = rows[r - 1]
                 if len(row) == c - 1 and (r if c == 1 else row[c - 2]) <= e:
                     row.append(e)
                     break
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))

@@ -51,10 +51,6 @@ def weakly_connected_components(cells):
     return components(cells, weakly_connected)
 
 
-def connected_components(cells):
-    return components(cells, connected)
-
-
 # ---------------------------------------------------------------------------
 # snakes
 
@@ -63,7 +59,12 @@ def complement_shape(S, b):
     """The composition e with D(b) - S = D(e), or None if there is none: e
     is b less S's cells row by row, and S must be the cells (c, r) with
     c > e_r.  Rejects what as_comp rejects of b and cells outside D(b)."""
-    b, S = as_comp(b), frozenset(S)
+    b = as_comp(b)
+    return _complement(frozenset(S), b)
+
+
+def _complement(S, b):
+    """complement_shape of a cell frozenset S, b unchecked."""
     if not S <= key_diagram(b):
         raise ValueError("cells lie outside the key diagram")
     e = list(b)
@@ -86,15 +87,15 @@ def _anchor_row(d):
 
 
 def _special_complement(S, b):
-    """complement_shape(S, b) if the cell set S is a special snake of b."""
-    e = complement_shape(S, b)
+    """complement_shape(S, b) if the cell frozenset S is a special snake of b."""
+    e = _complement(S, b)
     special = e is not None and (not S or (1, _anchor_row(b)) in S and _snake_predicate(e, b))
     return e if special else None
 
 
 def is_special_snake(S, b):
     """A snake that is empty or contains the lowest cell in column 1."""
-    return _special_complement(frozenset(S), b) is not None
+    return _special_complement(frozenset(S), as_comp(b)) is not None
 
 
 def snake_sign(S):
@@ -265,13 +266,12 @@ def enumerate_special_snake_tabloids(b):
 def validate_special_snake_tabloid(b, snakes):
     """Check an explicit snake sequence against the tabloid conditions; the
     ith snake empties residual row i.  Rejects what as_comp rejects of b."""
-    b = as_comp(b)
+    b = d = as_comp(b)
     if len(snakes) != len(b):
         return False
-    d = b
     for i, S in enumerate(map(frozenset, snakes), start=1):
         # rows below i are empty: a snake empties row i, and is empty iff d_i is
-        e = complement_shape(S, d) if S <= key_diagram(d) else None
+        e = _complement(S, d) if S <= key_diagram(d) else None
         if e is None or e[i - 1] or S and not (d[i - 1] and _snake_predicate(e, d)):
             return False
         d = e
@@ -308,7 +308,7 @@ def is_rim_hook(S, mu):
     of 2 x 2 blocks.  The empty set is accepted.  Rejects what as_partition
     rejects of mu and cells outside the diagram."""
     shape = as_partition(mu)[::-1]
-    e = complement_shape(S, shape)
+    e = _complement(frozenset(S), shape)
     return e == shape or e is not None and _rim_hook_predicate(e, shape)
 
 
@@ -317,7 +317,7 @@ def _rim_hook_predicate(e, d):
     if any(e[i] > e[i + 1] for i in range(len(e) - 1)):
         return False
     S = key_diagram(d) - key_diagram(e)
-    if len(connected_components(S)) != 1:
+    if len(components(S, connected)) != 1:
         return False
     return not any(
         (c + 1, r) in S and (c, r + 1) in S and (c + 1, r + 1) in S
@@ -373,9 +373,8 @@ def _attacks(S, rows, b):
             if b[ry - 1] >= cx and rows[ry - 1][cx - 1] == 1:
                 out.append(((cx, rx), (cx, ry)))
         for ry in range(1, rx):
-            if b[ry - 1] >= cx + 1 and rows[ry - 1][cx] == 1:
-                if (cx, ry) not in S:
-                    out.append(((cx, rx), (cx + 1, ry)))
+            if b[ry - 1] >= cx + 1 and rows[ry - 1][cx] == 1 and (cx, ry) not in S:
+                out.append(((cx, rx), (cx + 1, ry)))
     return out
 
 
@@ -384,7 +383,12 @@ def in_gset(S, rows, b):
     snake of b, rows of shape b, 1 on S, and off S an SSKT in the window
     len(b) on D(e), e the complement_shape of S.  Rejects what
     complement_shape rejects."""
-    b, S = as_comp(b), frozenset(S)
+    b = as_comp(b)
+    return _in_gset(frozenset(S), rows, b)
+
+
+def _in_gset(S, rows, b):
+    """in_gset of a cell frozenset S, b unchecked."""
     e = _special_complement(S, b)
     if e is None or shape_of(rows) != b or any(rows[r - 1][c - 1] != 1 for c, r in S):
         return False
@@ -403,13 +407,12 @@ def iota(S, rows, b):
     b, S = as_comp(b), frozenset(S)
     if not b or b[0] == 0:
         raise ValueError("first part of the shape must be positive")
-    if not in_gset(S, rows, b):
+    if not _in_gset(S, rows, b):
         raise ValueError("pair is outside the domain of the involution")
     attacks = _attacks(S, rows, b)
     if not attacks:
         raise ValueError("no attack found; the filling is an SSKT or outside the domain")
     x = max(xx for xx, _ in attacks)
-    y = max((yy for xx, yy in attacks if xx == x), key=lambda cell: (cell[0], -cell[1]))
-    cy, ry = y
+    cy, ry = max((yy for xx, yy in attacks if xx == x), key=lambda cell: (cell[0], -cell[1]))
     block = frozenset((c, ry) for c in range(cy, b[ry - 1] + 1))
     return S ^ block, rows

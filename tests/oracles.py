@@ -13,9 +13,12 @@ listed shape by shape.  Most share no code with that route.  The exceptions:
   as `expand_key_into_h`.  The two agree whenever their `steps` give a piece
   the same sign and weight, so a wrong piece or recursion shows in neither.
 - `key_counts_by_shapes` tallies `frsk.rho_inverse`, which runs the
-  `frsk._rho_inverse` that `bases._key_counts` tallies.
-- `snake_tabloids_by_rows` tests its pieces by `is_special_snake`, which
-  reads `snakes._rows_connected`, as `snakes._snake_pieces` does.
+  `frsk._rho_inverse` that `bases._key_counts` tallies.  The rSSAF counts
+  of `enumerate_fillings`, which run no rho code, check `_key_counts` too.
+
+`snake_tabloids_by_rows` tests its pieces by `is_special_snake_by_cells`,
+on cells alone: `weakly_connected_components` and `key_poset_leq`, not
+the `snakes._rows_connected` that `snakes._snake_pieces` reads.
 
 The naive filter reads `fillings.statistics`, which the filling backtracker
 `enumerate_fillings` and `is_member` do not.
@@ -26,12 +29,14 @@ from functools import cache
 from itertools import product
 
 from flaghom.bases import BasisExpansion
-from flaghom.compositions import as_comp, as_matrix, pad, partitions_of, strip
+from flaghom.compositions import (as_comp, as_matrix, key_poset_leq, pad,
+                                  partitions_of, strip)
 from flaghom.fillings import (enumerate_fillings, key_diagram, statistics,
                               weight_of)
 from flaghom.frsk import rho_inverse
 from flaghom.polynomials import Poly, divided_difference
-from flaghom.snakes import enumerate_special_snake_tabloids, is_special_snake
+from flaghom.snakes import (enumerate_special_snake_tabloids,
+                            weakly_connected_components)
 
 
 def is_member_by_definition(rows, flavor, n):
@@ -133,12 +138,42 @@ def expand_key_into_h_by_tabloids(b, n=None):
     return BasisExpansion("h-flagged", terms)
 
 
-def snake_tabloids_by_rows(b, is_piece=is_special_snake):
+def complement_by_cells(S, b):
+    """The composition a with key_diagram(a) == key_diagram(b) - S, counted
+    from the cells left in each row, or None if the rest is not a key
+    diagram."""
+    rest = key_diagram(b) - S
+    a = tuple(sum(1 for _, r in rest if r == row) for row in range(1, len(b) + 1))
+    return a if rest == key_diagram(a) else None
+
+
+def is_snake_by_cells(S, b):
+    """The cell-set definition of a snake: empty, or one weakly connected
+    component, no triple (c, s), (c+1, s), (c+1, r) with r < s, and a
+    complement that is the key diagram of a composition below b in the key
+    poset."""
+    if not S:
+        return True
+    a = complement_by_cells(S, b)
+    return (a is not None and key_poset_leq(a, b)
+            and len(weakly_connected_components(S)) == 1
+            and not any((c + 1, s) in S and (c + 1, r) in S
+                        for c, s in S for r in range(1, s)))
+
+
+def is_special_snake_by_cells(S, b):
+    """A snake by its cell-set definition that is empty or holds the anchor
+    cell (1, r), r the lowest nonempty row of b."""
+    anchor = (1, next((r for r, part in enumerate(b, 1) if part), 0))
+    return (not S or anchor in S) and is_snake_by_cells(S, b)
+
+
+def snake_tabloids_by_rows(b, is_piece=is_special_snake_by_cells):
     """Piece sequences of the tabloids of shape b, by rows: row i takes the
     empty piece if residual row i is empty, else each nonempty subset S of
     the residual diagram d with is_piece(S, d), and the residual loses its
     cells; a sequence counts if nothing is left.  No memo; with the default
-    is_special_snake, the oracle of enumerate_special_snake_tabloids."""
+    piece test, the oracle of enumerate_special_snake_tabloids."""
     def go(d, i):
         if i == len(d):
             return [] if any(d) else [()]

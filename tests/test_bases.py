@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -165,6 +166,15 @@ def test_kostka_counts_the_backtracked_ssyt():
 def test_key_counts_match_the_per_partition_sweep():
     for n, b in DESK:
         assert _key_counts(b, n) == key_counts_by_shapes(b, n), b
+
+
+def test_key_counts_count_the_rssaf_of_each_shape():
+    # no rho code on this side: the backtracker lists the rSSAF of each
+    # shape a and weight b, where _key_counts tallies frsk._rho_inverse
+    for n, b in DESK:
+        want = Counter({a: len(enumerate_fillings(a, n, "rSSAF", weight=b))
+                        for a in compositions_of(sum(b), n)})
+        assert _key_counts(b, n) == +want, b
 
 
 def _capped(parts, total=9):

@@ -12,6 +12,8 @@ No library function both tests ``type(x) is not int`` and compares x by
 order: ``compositions.as_int`` is the one check of an integer with a bound.
 No library function but ``snakes._tabloid_sum`` nests a recursion that
 reads ``_anchor_row``: that sum is the one walk over residual shapes.
+The unchecked cores of flagged RSK (the two insertions, ``_unfold`` and
+``_rho_inverse``) call no checker: their callers check once, at the boundary.
 A fresh ``import flaghom.cli`` does not load ``dataclasses``, the heaviest
 module of the package's cold import; a record is a named tuple or a plain class.
 Test-only code lives in ``tests/oracles.py``: every library definition is
@@ -293,6 +295,39 @@ def test_detects_an_open_coded_integer_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_integers_are_checked_by_as_int(path):
     assert open_coded_int_checks(path.read_text()) == []
+
+
+RSK_CORES = ("_row_insert", "_flagged_insert", "_unfold", "_rho_inverse")
+CHECKERS = {"as_comp", "as_int", "as_matrix", "is_member", "matrix_from_biword"}
+
+
+def checker_calls(source):
+    """(core, checker) for each call of a checker, by name or attribute,
+    anywhere in the body of a function named in RSK_CORES."""
+    found = []
+    for f in ast.walk(ast.parse(source)):
+        if isinstance(f, ast.FunctionDef) and f.name in RSK_CORES:
+            called = (getattr(c.func, "id", getattr(c.func, "attr", None))
+                      for c in ast.walk(f) if isinstance(c, ast.Call))
+            found += [(f.name, name) for name in called if name in CHECKERS]
+    return sorted(found)
+
+
+def test_detects_a_checker_call_in_an_rsk_core():
+    source = ("def _unfold(P, Q, n):\n    return matrix_from_biword(pairs, n)\n\n"
+              "def _row_insert(rows, j, chain):\n    compositions.as_int(j)\n\n"
+              "def rsk_inverse(P, Q, n):\n    return is_member(P, 'rSSYT')\n\n"
+              "def _flagged_insert(rows, j, n, chain):\n    return len(rows)\n\n"
+              "def _rho_inverse(Q, n):\n    def fill():\n        return as_comp(Q)\n")
+    assert checker_calls(source) == [("_rho_inverse", "as_comp"), ("_row_insert", "as_int"),
+                                     ("_unfold", "matrix_from_biword")]
+
+
+def test_rsk_cores_call_no_checker():
+    source = (PACKAGE / "frsk.py").read_text()
+    defined = {stmt.name for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)}
+    assert set(RSK_CORES) <= defined
+    assert checker_calls(source) == []
 
 
 def test_the_cli_imports_no_dataclasses():

@@ -15,7 +15,6 @@ from flaghom.fillings import is_member, key_diagram, weight_of
 from flaghom.polynomials import Poly
 from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             _special_pieces, complement_shape,
-                            connected_components,
                             enumerate_special_rim_hook_tabloids,
                             enumerate_special_snake_tabloids,
                             expand_key_into_h, gset_enumerate,
@@ -24,7 +23,8 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             snake_sign, special_snakes, tabloid_json_texts,
                             validate_special_snake_tabloid,
                             weakly_connected_components)
-from oracles import (expand_key_into_h_by_tabloids, relabel,
+from oracles import (complement_by_cells, expand_key_into_h_by_tabloids,
+                     is_snake_by_cells, is_special_snake_by_cells, relabel,
                      snake_tabloids_by_rows)
 
 
@@ -78,28 +78,6 @@ def test_snakes_of_reversed_partition_are_rim_hooks():
                 assert is_snake(S, shape) == is_rim_hook(S, mu), (mu, sorted(S))
 
 
-def _complement_by_cells(S, b):
-    """The composition a with key_diagram(a) == key_diagram(b) - S, counted
-    from the cells left in each row, or None if the rest is not a key
-    diagram."""
-    rest = key_diagram(b) - S
-    a = tuple(sum(1 for _, r in rest if r == row) for row in range(1, len(b) + 1))
-    return a if rest == key_diagram(a) else None
-
-
-def _snake_by_definition(S, b):
-    """The cell-set definition: one weakly connected component, no triple
-    (c, s), (c+1, s), (c+1, r) with r < s, and a complement that is the key
-    diagram of a composition below b in the key poset."""
-    if not S:
-        return True
-    a = _complement_by_cells(S, b)
-    return (a is not None and key_poset_leq(a, b)
-            and len(weakly_connected_components(S)) == 1
-            and not any((c + 1, s) in S and (c + 1, r) in S
-                        for c, s in S for r in range(1, s)))
-
-
 def test_snake_test_matches_cell_set_definition():
     checked = 0
     for n in range(1, 5):
@@ -108,10 +86,28 @@ def test_snake_test_matches_cell_set_definition():
                 cells = sorted(key_diagram(b))
                 for mask in range(1 << len(cells)):
                     S = frozenset(cells[t] for t in range(len(cells)) if mask >> t & 1)
-                    assert is_snake(S, b) == _snake_by_definition(S, b), (b, sorted(S))
-                    assert complement_shape(S, b) == _complement_by_cells(S, b), (b, sorted(S))
+                    assert is_snake(S, b) == is_snake_by_cells(S, b), (b, sorted(S))
+                    assert complement_shape(S, b) == complement_by_cells(S, b), (b, sorted(S))
                     checked += 1
     assert checked == 11_648
+
+
+def test_special_snake_test_matches_the_oracle_piece_test():
+    # snake_tabloids_by_rows accepts its pieces by is_special_snake_by_cells,
+    # which reads no snakes._rows_connected; the two tests agree on every
+    # cell subset of every shape of at most four parts and six cells
+    checked = accepted = 0
+    for n in range(1, 5):
+        for d in range(7):
+            for b in compositions_of(d, n):
+                cells = sorted(key_diagram(b))
+                for mask in range(1 << len(cells)):
+                    S = frozenset(cells[t] for t in range(len(cells)) if mask >> t & 1)
+                    special = is_special_snake(S, b)
+                    assert special == is_special_snake_by_cells(S, b), (b, sorted(S))
+                    checked += 1
+                    accepted += special
+    assert (checked, accepted) == (11_648, 1_145)
 
 
 def test_special_snake_enumeration_matches_subset_filter():
@@ -531,5 +527,5 @@ def test_iota_rejects_bad_inputs():
 
 
 def test_connected_components_strict():
-    comps = connected_components({(1, 1), (2, 1), (4, 1), (4, 2)})
+    comps = snakes.components({(1, 1), (2, 1), (4, 1), (4, 2)}, snakes.connected)
     assert sorted(map(sorted, comps)) == [[(1, 1), (2, 1)], [(4, 1), (4, 2)]]
