@@ -138,3 +138,35 @@ def partitions_of(k, max_part=None):
     for first in range(min(k, max_part), 0, -1):
         for rest in partitions_of(k - first, first):
             yield (first,) + rest
+
+
+class BoundedCache(dict):
+    """The one type of module cache: a dict that store clears before it
+    would pass limit, in entries or in size(value) summed over them, and
+    that keeps no value over limit alone.  Counts hits, misses and clears."""
+
+    __slots__ = ("limit", "size", "held", "hits", "misses", "clears")  # halves a lookup
+
+    def __init__(self, limit, size=None):  # dict.__new__ made it empty
+        self.limit, self.size = limit, size
+        self.held = self.hits = self.misses = self.clears = 0
+
+    def lookup(self, key):
+        """The value held for key, or None; no value is None."""
+        value = self.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def store(self, key, value):
+        """Keep value for a key not held, and return it."""
+        k = 1 if self.size is None else self.size(value)
+        if k <= self.limit:
+            if self.held + k > self.limit:
+                self.clear()
+                self.held, self.clears = 0, self.clears + 1
+            self[key] = value
+            self.held += k
+        return value

@@ -11,17 +11,15 @@ the weight it adds and the rows it drops.  A move lowers the row sum, so the
 walk pops a list of row-sum buckets from the top, each complete, and keeps no
 visited set of the whole closure.  ``kohnert_moves`` is the oracle.  A weight
 decodes by powers of B computed once, up to its top nonzero digit; each
-diagram's terms are memoized, and every call gets a fresh Poly."""
+diagram's terms are kept in a bounded cache, and every call gets a fresh Poly."""
 
 from collections import Counter
 
-from .compositions import as_comp, as_matrix, is_lower_triangular
+from .compositions import BoundedCache, as_comp, as_matrix, is_lower_triangular
 from .fillings import weight_of
 from .polynomials import _poly
 
-_WEIGHT_CACHE_LIMIT = 1 << 15  # terms, over all entries; cleared before passing it
-_weight_cache = {}  # (exponent, count) pairs by diagram
-_weight_cache_terms = 0
+_weight_cache = BoundedCache(32_768, size=len)  # (exponent, count) pairs by diagram
 
 
 def diagram(cells):
@@ -106,21 +104,15 @@ def kohnert_closure(D):
 
 def kohnert_polynomial(D):
     """Weight generating function of the closure; the empty diagram gives 1."""
-    global _weight_cache_terms
     D = diagram(D)
-    terms = _weight_cache.get(D)
+    terms = _weight_cache.lookup(D)
     if terms is None:
         tally = Counter()
         for _, B, bucket in _walk(D):
             tally.update(bucket.values())
         powers = [B ** i for i in range(max((r for _, r in D), default=0))]  # row i + 1 counts B^i
-        terms = tuple((tuple([w // p % B for p in powers if p <= w]), k) for w, k in tally.items())
-        if _weight_cache_terms + len(terms) > _WEIGHT_CACHE_LIMIT:
-            _weight_cache.clear()
-            _weight_cache_terms = 0
-        if len(terms) <= _WEIGHT_CACHE_LIMIT:
-            _weight_cache[D] = terms
-            _weight_cache_terms += len(terms)
+        terms = _weight_cache.store(D, tuple(
+            (tuple([w // p % B for p in powers if p <= w]), k) for w, k in tally.items()))
     return _poly(dict(terms))
 
 

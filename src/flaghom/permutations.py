@@ -29,9 +29,7 @@ def check_perm(w):
 def pad_perm(w, m):
     """Extend w by fixed points to a word of length at least m."""
     w = tuple(w)
-    if len(w) >= m:
-        return w
-    return w + tuple(range(len(w) + 1, m + 1))
+    return w if len(w) >= m else w + tuple(range(len(w) + 1, m + 1))
 
 
 def length(w):

@@ -128,8 +128,7 @@ class Poly:
                 bits.append("-" + body)
             else:
                 bits.append(f"{coef}*{body}")
-        text = " + ".join(bits).replace("+ -", "- ")
-        return text
+        return " + ".join(bits).replace("+ -", "- ")
 
 
 def _poly(terms):

@@ -6,10 +6,7 @@ from .compositions import as_int
 
 def _grid_lines(n, width, cell):
     """Rows n..1 as strings; cell(c, r) supplies each token or None."""
-    tokens = {}
-    for r in range(1, n + 1):
-        for c in range(1, width + 1):
-            tokens[(c, r)] = cell(c, r)
+    tokens = {(c, r): cell(c, r) for r in range(1, n + 1) for c in range(1, width + 1)}
     pad = max((len(t) for t in tokens.values() if t is not None), default=1)
     lines = []
     for r in range(n, 0, -1):
@@ -25,9 +22,7 @@ def render_filling(rows, n=None):
     width = max((len(r) for r in rows), default=0)
 
     def cell(c, r):
-        if r <= len(rows) and c <= len(rows[r - 1]):
-            return str(rows[r - 1][c - 1])
-        return None
+        return str(rows[r - 1][c - 1]) if r <= len(rows) and c <= len(rows[r - 1]) else None
 
     return "\n".join(_grid_lines(n, width, cell))
 
@@ -40,10 +35,7 @@ def render_diagram(D, n=None):
 
 
 def render_tabloid(tabloid):
-    owner = {}
-    for i, S in enumerate(tabloid.snakes, start=1):
-        for cell in S:
-            owner[cell] = str(i)
+    owner = {cell: str(i) for i, S in enumerate(tabloid.snakes, start=1) for cell in S}
     n = len(tabloid.shape)
     width = max(tabloid.shape, default=0)
     lines = _grid_lines(n, width, lambda c, r: owner.get((c, r)))

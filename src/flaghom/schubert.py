@@ -2,16 +2,12 @@
 homogeneous basis, and a divided-difference Schubert oracle used purely for
 cross-checking."""
 
-from .compositions import as_comp, as_int
+from .compositions import BoundedCache, as_comp, as_int
 from .permutations import check_perm, covers, pad_perm, strip_fixed
 from .polynomials import Poly, _poly, as_coefficients, divided_difference
 
-# Strip targets by (u, k, m) and oracle polynomials by permutation; each is
-# cleared at its limit, so it stays bounded in a long-lived process.
-_STRIP_CACHE_LIMIT = 4096
-_strip_cache = {}
-_ORACLE_CACHE_LIMIT = 4096
-_oracle_cache = {}
+_strip_cache = BoundedCache(4096)  # strip targets by (u, k, m)
+_oracle_cache = BoundedCache(4096)  # oracle polynomials by permutation
 
 
 def horizontal_strip_targets(u, k, m):
@@ -22,15 +18,14 @@ def horizontal_strip_targets(u, k, m):
     used are where w differs from u, and one set of words per step is the
     whole state.  Padding to max(len(u), k) + m covers every step."""
     key = (check_perm(u), as_int(k, 1, "k"), as_int(m, what="strip size"))
-    if key not in _strip_cache:
+    targets = _strip_cache.lookup(key)
+    if targets is None:
         u = pad_perm(key[0], max(len(key[0]), k) + m)
         frontier = {u}
         for _ in range(m):
             frontier = {w2 for w in frontier for j, w2 in covers(w, k) if w[j - 1] == u[j - 1]}
-        if len(_strip_cache) >= _STRIP_CACHE_LIMIT:
-            _strip_cache.clear()
-        _strip_cache[key] = frozenset(map(strip_fixed, frontier))
-    return _strip_cache[key]
+        targets = _strip_cache.store(key, frozenset(map(strip_fixed, frontier)))
+    return targets
 
 
 def pieri_multiply(expansion, m, k):
@@ -67,8 +62,9 @@ def _schubert_poly(w):
     """Divided-difference recursion from the staircase monomial of the
     longest element above w."""
     w = strip_fixed(w)
-    if w in _oracle_cache:
-        return _oracle_cache[w]
+    poly = _oracle_cache.lookup(w)
+    if poly is not None:
+        return poly
     m = len(w)
     if m == 0:
         return Poly.one()
@@ -78,10 +74,7 @@ def _schubert_poly(w):
         i = next(i for i in range(1, m) if w[i - 1] < w[i])
         higher = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
         poly = divided_difference(_schubert_poly(higher), i)
-    if len(_oracle_cache) >= _ORACLE_CACHE_LIMIT:
-        _oracle_cache.clear()
-    _oracle_cache[w] = poly
-    return poly
+    return _oracle_cache.store(w, poly)
 
 
 def schubert_oracle(w, n):

@@ -2,8 +2,9 @@
 flagged Kostka matrix, and the sign-reversing involution that proves the
 expansion.  A piece D(d) - D(e) of a residual shape d is named by e, and one
 memoized sum over residual shapes both lists the tabloids and tallies the
-signed inverse.  The rim hook analogues on partition shapes live here too,
-as an independent cross-check."""
+signed inverse; only the tally keeps its sums, in a bounded cache, across
+calls.  The rim hook analogues on partition shapes live here too, as an
+independent cross-check."""
 
 import json
 from collections import namedtuple
@@ -11,7 +12,7 @@ from itertools import product
 from math import prod
 
 from .bases import BasisExpansion
-from .compositions import as_comp, as_partition, key_poset_leq
+from .compositions import BoundedCache, as_comp, as_partition, key_poset_leq
 from .fillings import enumerate_fillings, is_member, key_diagram, shape_of
 
 # ---------------------------------------------------------------------------
@@ -140,8 +141,8 @@ def _rows_connected(e, d, rows):
     return len(group) == len(rows)
 
 
-_PIECE_CACHE_LIMIT = 4096
-_piece_cache = {}
+_piece_cache = BoundedCache(4096)
+_tally_cache = BoundedCache(32_768, size=len)  # expand_key_into_h's, in terms
 
 
 def _snake_pieces(d):
@@ -152,8 +153,9 @@ def _snake_pieces(d):
     key_poset_leq(e, d)), and no triple, max(e_s + 2, e_r + 1) <= min(d_s,
     d_r).  So the leaf tests only _rows_connected."""
     d = tuple(d)
-    if d in _piece_cache:
-        return _piece_cache[d]
+    pieces = _piece_cache.lookup(d)
+    if pieces is not None:
+        return pieces
     anchor = _anchor_row(d)
     pieces = []
     if anchor is not None:
@@ -176,10 +178,7 @@ def _snake_pieces(d):
                 grow(s + 1)
 
         grow(0)
-    if len(_piece_cache) >= _PIECE_CACHE_LIMIT:
-        _piece_cache.clear()
-    _piece_cache[d] = pieces = tuple(pieces)
-    return pieces
+    return _piece_cache.store(d, tuple(pieces))
 
 
 def special_snakes(b):
@@ -225,21 +224,27 @@ def tabloid_json_texts(tabloids):
                f'"snakes": [{", ".join(cells)}], "weight": [{", ".join(sizes)}]}}')
 
 
-def _tabloid_sum(shape, steps, blank):
+def _tabloid_sum(shape, steps, blank, cache=None):
     """{sequence: coefficient} over the tabloids of the shape, memoized by
     residual shape d.  steps(d) lists (e, entry, factor) per piece
     D(d) - D(e), which empties d's anchor row: entry goes there in each
-    sequence completing e, whose coefficient is multiplied by factor."""
+    sequence completing e, whose coefficient is multiplied by factor.  A given
+    cache keeps each tally across calls, so steps must read d alone; the memo
+    keeps every tally the call reads, whatever the cache clears."""
     memo = {(0,) * len(shape): {(blank,) * len(shape): 1}}
 
     def go(d):
         if d not in memo:
-            r = _anchor_row(d)
-            memo[d] = tally = {}
-            for e, entry, factor in steps(d):
-                for seq, c in go(e).items():
-                    seq = seq[:r - 1] + (entry,) + seq[r:]
-                    tally[seq] = tally.get(seq, 0) + factor * c
+            tally = None if cache is None else cache.lookup(d)
+            if tally is None:
+                r, tally = _anchor_row(d), {}
+                for e, entry, factor in steps(d):
+                    for seq, c in go(e).items():
+                        seq = seq[:r - 1] + (entry,) + seq[r:]
+                        tally[seq] = tally.get(seq, 0) + factor * c
+                if cache is not None:
+                    cache.store(d, tally)
+            memo[d] = tally
         return memo[d]
 
     return go(tuple(shape))
@@ -285,17 +290,17 @@ def inverse_ktilde(a, b):
 
 
 def expand_key_into_h(b, n=None):
-    """Signed expansion of the key polynomial of b in the flagged
-    homogeneous basis: the snake tabloids of shape b counted with sign by
-    weight by the sum that lists them, without listing them, as Egecioglu
-    and Remmel count rim hook tabloids: a piece D(d) - D(e) enters its size
-    sum(d) - sum(e), with sign (-1)^(h - 1), h the rows with e_r < d_r.
-    Rejects what as_comp(b, n) rejects."""
+    """Signed expansion of the key polynomial of b in the flagged homogeneous
+    basis: the snake tabloids of shape b counted with sign by weight by the sum
+    that lists them, without listing them, as Egecioglu and Remmel count rim
+    hook tabloids: a piece D(d) - D(e) enters its size sum(d) - sum(e), with
+    sign (-1)^(h - 1), h the rows with e_r < d_r.  The terms are copied from
+    the tally cache.  Rejects what as_comp(b, n) rejects."""
     def steps(d):
         return [(e, sum(d) - sum(e), (-1) ** (sum(x < y for x, y in zip(e, d)) - 1))
                 for e in _snake_pieces(d)]
 
-    return BasisExpansion("h-flagged", _tabloid_sum(as_comp(b, n), steps, 0))
+    return BasisExpansion("h-flagged", _tabloid_sum(as_comp(b, n), steps, 0, _tally_cache))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +324,8 @@ def _rim_hook_predicate(e, d):
     S = key_diagram(d) - key_diagram(e)
     if len(components(S, connected)) != 1:
         return False
-    return not any(
-        (c + 1, r) in S and (c, r + 1) in S and (c + 1, r + 1) in S
-        for c, r in S
-    )
+    return not any((c + 1, r) in S and (c, r + 1) in S and (c + 1, r + 1) in S
+                   for c, r in S)
 
 
 def enumerate_special_rim_hook_tabloids(mu):

@@ -5,13 +5,17 @@ more structured route: the naive filling filter, the dominance order behind
 `dominance_key`, relabelling of supports, the lift of a square matrix into
 the lower triangle, the Demazure operator recursion for keys and atoms, the
 key-to-h expansion as a sum over listed snake tabloids, the snake and rim
-hook tabloids listed row by row from cell subsets, and the SSYT of one weight
-listed shape by shape.  Most share no code with that route.  The exceptions:
+hook tabloids listed row by row from cell subsets, their signed weights, and
+the SSYT of one weight listed shape by shape.  Most share no code with that
+route.  The exceptions:
 
 - `expand_key_into_h_by_tabloids` sums over `enumerate_special_snake_tabloids`,
   which runs the same `snakes._tabloid_sum` over the same `snakes._snake_pieces`
   as `expand_key_into_h`.  The two agree whenever their `steps` give a piece
   the same sign and weight, so a wrong piece or recursion shows in neither.
+  `signed_weights` over `snake_tabloids_by_rows` is the independent check of
+  the tally: no memo, no `_tabloid_sum`, no `_snake_pieces`, and each sign
+  counted from the rows a piece meets, not by `snakes.snake_sign`.
 - `key_counts_by_shapes` tallies `frsk.rho_inverse`, which runs the
   `frsk._rho_inverse` that `bases._key_counts` tallies.  The rSSAF counts
   of `enumerate_fillings`, which run no rho code, check `_key_counts` too.
@@ -27,6 +31,7 @@ The naive filter reads `fillings.statistics`, which the filling backtracker
 from collections import Counter
 from functools import cache
 from itertools import product
+from math import prod
 
 from flaghom.bases import BasisExpansion
 from flaghom.compositions import (as_comp, as_matrix, key_poset_leq, pad,
@@ -189,6 +194,18 @@ def snake_tabloids_by_rows(b, is_piece=is_special_snake_by_cells):
         return out
 
     return go(tuple(b), 0)
+
+
+def signed_weights(sequences):
+    """The expansion of the key polynomial in the flagged homogeneous basis
+    read off listed piece sequences, such as snake_tabloids_by_rows gives:
+    each enters its weight, the sizes of its pieces, with the product over
+    its nonempty pieces of (-1)^(h - 1), h the rows the piece meets."""
+    terms = Counter()
+    for snakes in sequences:
+        sign = prod((-1) ** (len({r for _, r in S}) - 1) for S in snakes if S)
+        terms[tuple(map(len, snakes))] += sign
+    return BasisExpansion("h-flagged", terms)
 
 
 def ssyt_of_weight_by_shapes(b, n):

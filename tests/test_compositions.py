@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 
 from flaghom.bases import h_basis_family, h_complete
-from flaghom.compositions import (as_comp, compositions_of, dominance_key,
-                                  key_poset_leq, pad, partitions_of, rev,
-                                  strip)
+from flaghom.compositions import (BoundedCache, as_comp, compositions_of,
+                                  dominance_key, key_poset_leq, pad,
+                                  partitions_of, rev, strip)
 from flaghom.fillings import enumerate_fillings, is_member, statistics, weight_of
 from flaghom.frsk import (flagged_insert_trace, matrix_from_biword, rho_inverse,
                           rsk_insert_trace)
@@ -166,3 +166,32 @@ def test_every_integer_argument_takes_one_check(least, call):
     for x in (True, 1.0, least - 1):
         with pytest.raises(ValueError, match=re.escape(f"{x!r} is not an integer >= {least}")):
             call(x)
+
+
+def test_a_bounded_cache_counts_its_lookups_and_clears():
+    cache = BoundedCache(3)
+    assert isinstance(cache, dict) and cache.lookup("a") is None
+    assert cache.store("a", 1) == 1 and cache.lookup("a") == 1
+    assert (cache.hits, cache.misses, cache.clears) == (1, 1, 0)
+    cache.store("b", 0)
+    cache.store("c", ())
+    assert cache.lookup("b") == 0 and cache.lookup("c") == ()  # a falsy value is a hit
+    assert (len(cache), cache.held, cache.hits, cache.misses, cache.clears) == (3, 3, 3, 1, 0)
+    cache.store("d", 4)  # a fourth entry would pass the limit: the three go first
+    assert dict(cache) == {"d": 4} and (cache.held, cache.clears) == (1, 1)
+    assert cache.lookup("a") is None and cache.misses == 2
+
+
+def test_a_bounded_cache_counts_terms_and_refuses_an_oversize_value():
+    cache = BoundedCache(5, size=len)
+    cache.store("ab", (1, 2))
+    cache.store("cde", (3, 4, 5))
+    cache.store("none", ())
+    assert (len(cache), cache.held, cache.clears) == (3, 5, 0)
+    big = tuple(range(6))
+    assert cache.store("big", big) is big  # answered, not kept, and nothing cleared
+    assert "big" not in cache and (len(cache), cache.held, cache.clears) == (3, 5, 0)
+    cache.store("f", (6,))
+    assert dict(cache) == {"f": (6,)} and (cache.held, cache.clears) == (1, 1)
+    cache.store("g", (1, 2, 3, 4, 5))  # exactly the limit, after a clear
+    assert dict(cache) == {"g": (1, 2, 3, 4, 5)} and (cache.held, cache.clears) == (5, 2)

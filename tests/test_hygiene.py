@@ -337,36 +337,60 @@ def test_the_cli_imports_no_dataclasses():
     assert out == "False\n"
 
 
+def limited_cache(value):
+    """Whether value is `BoundedCache(limit, ...)`, the limit a positive
+    integer literal."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "BoundedCache"):
+        return False
+    limit = value.args[:1] + [keyword.value for keyword in value.keywords if keyword.arg == "limit"]
+    return (len(limit) == 1 and isinstance(limit[0], ast.Constant)
+            and type(limit[0].value) is int and limit[0].value > 0)
+
+
 def module_caches(source):
-    """Each module-level `_<name>_cache = {}` dict, mapped to whether the
-    module also assigns `_<NAME>_CACHE_LIMIT` at module level and calls
-    `.clear()` on the cache."""
+    """Each module-level `*_cache` name, mapped to whether it is bound once,
+    to a limited BoundedCache, and written only through its `store`: no item
+    assignment and no `update`, `setdefault` or `__setitem__` call on it."""
     tree = ast.parse(source)
-    assigned = [(target.id, stmt.value) for stmt in tree.body if isinstance(stmt, ast.Assign)
-                for target in stmt.targets if isinstance(target, ast.Name)]
-    cleared = {node.func.value.id for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "clear" and isinstance(node.func.value, ast.Name)}
-    names = {name for name, _ in assigned}
-    return {name: f"{name[:-len('_cache')].upper()}_CACHE_LIMIT" in names and name in cleared
-            for name, value in assigned
-            if name.startswith("_") and name.endswith("_cache") and isinstance(value, ast.Dict)}
+    values = {}
+    for stmt in tree.body:
+        for target in getattr(stmt, "targets", [getattr(stmt, "target", None)]):
+            for node in ast.walk(target) if target else ():
+                if isinstance(node, ast.Name) and node.id.endswith("_cache"):
+                    values.setdefault(node.id, []).append(stmt.value if node is target else None)
+    written = {node.value.id for node in ast.walk(tree)
+               if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+               and isinstance(node.value, ast.Name)}
+    written |= {node.func.value.id for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "setdefault", "__setitem__")
+                and isinstance(node.func.value, ast.Name)}
+    return {name: len(bound) == 1 and limited_cache(bound[0]) and name not in written
+            for name, bound in values.items()}
 
 
 def test_detects_an_unbounded_cache():
-    source = ("_LOOSE_CACHE_LIMIT = 8\n_loose_cache = {}\n"
-              "_held_cache = {}\n_HELD_CACHE_LIMIT = 8\n"
-              "def f(x):\n    _free_cache = {}\n"
-              "    if len(_held_cache) >= _HELD_CACHE_LIMIT:\n        _held_cache.clear()\n"
+    source = ("_loose_cache = {}\n_dict_cache = dict()\n_held_cache = BoundedCache(8)\n"
+              "_sized_cache = BoundedCache(64, size=len)\n_named_cache = BoundedCache(limit=8)\n"
+              "_open_cache = BoundedCache()\n_zero_cache = BoundedCache(0)\n"
+              "_var_cache = BoundedCache(LIMIT)\n_twice_cache = BoundedCache(8)\n"
+              "_twice_cache = {}\n_pair_cache, _n = BoundedCache(8), 1\n"
+              "_typed_cache: dict = {}\n_set_cache = BoundedCache(8)\n_up_cache = BoundedCache(8)\n"
+              "def f(x):\n    _free_cache = {}\n    _set_cache[x] = x\n"
+              "    _up_cache.update(x)\n    return _held_cache.store(x, x)\n\n"
               "_free_cache = {}\n_other_cache = {}\n_other_cache.clear()\n")
-    assert module_caches(source) == {"_loose_cache": False, "_held_cache": True,
-                                     "_free_cache": False, "_other_cache": False}
+    assert module_caches(source) == {
+        "_loose_cache": False, "_dict_cache": False, "_held_cache": True, "_sized_cache": True,
+        "_named_cache": True, "_open_cache": False, "_zero_cache": False, "_var_cache": False,
+        "_twice_cache": False, "_pair_cache": False, "_typed_cache": False,
+        "_set_cache": False, "_up_cache": False, "_free_cache": False, "_other_cache": False}
 
 
 def test_module_caches_are_bounded():
     found = {name: bounded for path in MODULES
              for name, bounded in module_caches(path.read_text()).items()}
-    assert set(found) >= {"_piece_cache", "_oracle_cache", "_strip_cache", "_weight_cache"}
+    assert set(found) >= {"_piece_cache", "_tally_cache", "_oracle_cache", "_strip_cache",
+                          "_weight_cache"}
     assert [name for name, bounded in found.items() if not bounded] == []
 
 

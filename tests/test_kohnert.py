@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from flaghom import kohnert
 from flaghom import reference as ref
 from flaghom.bases import h_flagged
-from flaghom.compositions import compositions_of
+from flaghom.compositions import BoundedCache, compositions_of
 from flaghom.kohnert import (build_Da, diagram, diagram_weight, is_southwest,
                              kohnert_closure, kohnert_moves, kohnert_polynomial,
                              phi, phi_inverse)
@@ -168,11 +168,14 @@ def closure_by_oracle(D):
     return seen
 
 
+def empty_weight_cache(limit=kohnert._weight_cache.limit):
+    return BoundedCache(limit, size=len)
+
+
 def walked_polynomial(D):
     """kohnert_polynomial(D) from a walk, with the weight cache empty."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kohnert, "_weight_cache", {})
-        mp.setattr(kohnert, "_weight_cache_terms", 0)
+        mp.setattr(kohnert, "_weight_cache", empty_weight_cache())
         return kohnert_polynomial(D)
 
 
@@ -233,8 +236,7 @@ def test_walk_decodes_a_digit_of_B_minus_1():
 @pytest.fixture
 def weight_cache(monkeypatch):
     """An empty weight cache for one test."""
-    monkeypatch.setattr(kohnert, "_weight_cache", {})
-    monkeypatch.setattr(kohnert, "_weight_cache_terms", 0)
+    monkeypatch.setattr(kohnert, "_weight_cache", empty_weight_cache())
     return kohnert._weight_cache
 
 
@@ -267,13 +269,13 @@ def test_a_list_and_a_frozenset_share_one_entry(weight_cache):
 def test_weight_cache_stays_bounded(weight_cache, monkeypatch):
     # the limit counts terms over all entries; a diagram with more terms
     # than the limit is answered and not kept
-    monkeypatch.setattr(kohnert, "_WEIGHT_CACHE_LIMIT", 12)
+    monkeypatch.setattr(kohnert, "_weight_cache", empty_weight_cache(12))
     shapes = [a for n in (2, 3) for d in range(4) for a in compositions_of(d, n)]
     for a in shapes + shapes[::-1] + [(1, 2, 3)]:
         D = build_Da(a)
         assert kohnert_polynomial(D) == walked_polynomial(D) == h_flagged(a), a
         held = sum(map(len, kohnert._weight_cache.values()))
-        assert held == kohnert._weight_cache_terms <= 12
+        assert held == kohnert._weight_cache.held <= 12
     assert len(kohnert_polynomial(build_Da((1, 2, 3))).terms) > 12
     assert build_Da((1, 2, 3)) not in kohnert._weight_cache
 

@@ -4,7 +4,7 @@ import pytest
 
 from flaghom import schubert
 from flaghom.bases import h_flagged, schur_ssyt
-from flaghom.compositions import compositions_of
+from flaghom.compositions import BoundedCache, compositions_of
 from flaghom.permutations import grassmannian_perm
 from flaghom.polynomials import Poly, express_in_basis
 from flaghom.bases import h_basis_family
@@ -58,10 +58,9 @@ def test_a_cached_key_does_not_admit_an_equal_word_of_other_types():
 def test_strip_cache_stays_bounded(monkeypatch):
     cases = [(u, k, m) for u in [(), (2, 1), (1, 3, 2), (3, 1, 2), (2, 3, 1)]
              for k in (1, 2, 3) for m in range(4)]
-    monkeypatch.setattr(schubert, "_strip_cache", {})
+    monkeypatch.setattr(schubert, "_strip_cache", BoundedCache(schubert._strip_cache.limit))
     fresh = [horizontal_strip_targets(*case) for case in cases]
-    monkeypatch.setattr(schubert, "_strip_cache", {})
-    monkeypatch.setattr(schubert, "_STRIP_CACHE_LIMIT", 5)
+    monkeypatch.setattr(schubert, "_strip_cache", BoundedCache(5))
     for _ in range(2):
         for case, want in zip(cases, fresh):
             assert horizontal_strip_targets(*case) == want, case
@@ -178,7 +177,7 @@ def test_negative_structure_constant_identity():
 def test_oracle_answers_are_fresh(monkeypatch):
     # the oracle once handed out the Poly its cache held, so a caller that
     # edited its answer changed every later answer
-    monkeypatch.setattr(schubert, "_oracle_cache", {})
+    monkeypatch.setattr(schubert, "_oracle_cache", BoundedCache(schubert._oracle_cache.limit))
     first = schubert_oracle((2, 1), 2)
     first.terms[(5,)] = 7
     assert schubert_oracle((2, 1), 2) == Poly.variable(1)
@@ -187,10 +186,9 @@ def test_oracle_answers_are_fresh(monkeypatch):
 
 def test_oracle_cache_stays_bounded(monkeypatch):
     perms = [w for b in compositions_of(3, 3) for w in h_schubert_expansion(b)]
-    monkeypatch.setattr(schubert, "_oracle_cache", {})
+    monkeypatch.setattr(schubert, "_oracle_cache", BoundedCache(schubert._oracle_cache.limit))
     fresh = [schubert_oracle(w, 6) for w in perms]
-    monkeypatch.setattr(schubert, "_oracle_cache", {})
-    monkeypatch.setattr(schubert, "_ORACLE_CACHE_LIMIT", 4)
+    monkeypatch.setattr(schubert, "_oracle_cache", BoundedCache(4))
     for w, want in zip(perms, fresh):
         assert schubert_oracle(w, 6) == want, w
         assert len(schubert._oracle_cache) <= 4

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from flaghom import reference as ref
 from flaghom import snakes
 from flaghom.bases import h_flagged, key_polynomial, kostka, ktilde
-from flaghom.compositions import (compositions_of, dominance_key,
-                                  key_poset_leq, pad, partitions_of, sort_comp,
-                                  strip)
+from flaghom.compositions import (BoundedCache, compositions_of,
+                                  dominance_key, key_poset_leq, pad,
+                                  partitions_of, sort_comp, strip)
 from flaghom.fillings import is_member, key_diagram, weight_of
 from flaghom.polynomials import Poly
 from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
@@ -25,7 +25,7 @@ from flaghom.snakes import (SnakeTabloid, _snake_pieces, _snake_predicate,
                             weakly_connected_components)
 from oracles import (complement_by_cells, expand_key_into_h_by_tabloids,
                      is_snake_by_cells, is_special_snake_by_cells, relabel,
-                     snake_tabloids_by_rows)
+                     signed_weights, snake_tabloids_by_rows)
 
 
 def test_weakly_connected_components_figure():
@@ -141,8 +141,7 @@ def test_generated_pieces_match_the_filtered_product(d):
 def test_piece_cache_stays_bounded(monkeypatch):
     shapes = [(2, 1, 3), (3, 0, 2, 2), (1, 2, 1, 2), (2, 2, 2)]
     fresh = [enumerate_special_snake_tabloids(b) for b in shapes]
-    monkeypatch.setattr(snakes, "_piece_cache", {})
-    monkeypatch.setattr(snakes, "_PIECE_CACHE_LIMIT", 4)
+    monkeypatch.setattr(snakes, "_piece_cache", BoundedCache(4))
     for b, want in zip(shapes, fresh):
         assert enumerate_special_snake_tabloids(b) == want, b
         assert 0 < len(snakes._piece_cache) <= 4
@@ -214,12 +213,27 @@ def by_cells(sequences):
     return sorted(sequences, key=lambda snakes: [sorted(S) for S in snakes])
 
 
+def empty_tally_cache(limit=snakes._tally_cache.limit):
+    return BoundedCache(limit, size=len)
+
+
+def tallied_expansion(b):
+    """expand_key_into_h(b) from the recursion, with the tally cache empty."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snakes, "_tally_cache", empty_tally_cache())
+        return expand_key_into_h(b)
+
+
 def test_tabloids_match_a_listing_by_rows():
+    # the listing by rows shares no piece test, recursion or sign with the
+    # library, so its signed weights check the tally independently
     shapes = [b for rows in range(1, 6) for b in product(range(8), repeat=rows) if sum(b) <= 7]
     count = 0
     for b in shapes:
-        want = by_cells(snake_tabloids_by_rows(b))
+        listed = snake_tabloids_by_rows(b)
+        want = by_cells(listed)
         assert by_cells(U.snakes for U in enumerate_special_snake_tabloids(b)) == want, b
+        assert tallied_expansion(b) == signed_weights(listed), b
         count += len(want)
     assert (len(shapes), count) == (1286, 7302)
 
@@ -259,26 +273,69 @@ def test_inverse_ktilde_examples(a, b, want):
 def test_tally_matches_the_sum_over_tabloids_exhaustive_small():
     shapes = [b for rows in range(7) for b in product(range(4), repeat=rows)]
     for b in shapes:
-        assert expand_key_into_h(b) == expand_key_into_h_by_tabloids(b), b
+        assert tallied_expansion(b) == expand_key_into_h_by_tabloids(b), b
     assert len(shapes) == 5461
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(0, 5), max_size=7).map(tuple))
 def test_tally_matches_the_sum_over_tabloids(b):
-    assert expand_key_into_h(b) == expand_key_into_h_by_tabloids(b)
+    assert tallied_expansion(b) == expand_key_into_h_by_tabloids(b)
 
 
 def test_snake_expansion_identity_small():
-    for n in (1, 2, 3):
-        for d in range(4):
-            for b in compositions_of(d, n):
-                total = Poly.zero()
-                for a in compositions_of(d, n):
-                    c = inverse_ktilde(a, b)
-                    if c:
-                        total = total + c * h_flagged(a, n)
-                assert total == key_polynomial(b, n), b
+    # sum_a c_a h_a = kappa_b through h_flagged and key_polynomial, which
+    # read no snake
+    shapes = [b for rows in range(5) for b in product(range(4), repeat=rows)]
+    for b in shapes:
+        n = len(b)
+        total = Poly.from_terms((e, c * k) for a, c in tallied_expansion(b).terms.items()
+                               for e, k in h_flagged(a, n).terms.items())
+        assert total == key_polynomial(b, n), b
+    assert len(shapes) == 341
+
+
+SMALL_SHAPES = [b for rows in range(6) for b in product(range(4), repeat=rows)]
+
+
+@pytest.fixture(scope="module")
+def cold_answers():
+    """expand_key_into_h on each of SMALL_SHAPES, each from an empty tally cache."""
+    return [tallied_expansion(b) for b in SMALL_SHAPES]
+
+
+@pytest.mark.parametrize("limit", [1, 3, 50])
+def test_warm_answers_equal_cold_answers(limit, cold_answers, monkeypatch):
+    # a tally cache this small clears in the middle of most recursions
+    cache = empty_tally_cache(limit)
+    monkeypatch.setattr(snakes, "_tally_cache", cache)
+    for _ in range(2):
+        for b, want in zip(SMALL_SHAPES, cold_answers):
+            assert expand_key_into_h(b) == want, (limit, b)
+            assert cache.held == sum(map(len, cache.values())) <= limit
+    assert len(SMALL_SHAPES) == 1365 and cache.clears > 0 and cache.hits > 0
+
+
+def test_an_edited_expansion_leaves_the_next_answer(monkeypatch):
+    monkeypatch.setattr(snakes, "_tally_cache", empty_tally_cache())
+    b = (2, 0, 3, 1)
+    first = expand_key_into_h(b)
+    want = dict(first.terms)
+    first.terms[(4, 2)] = 99
+    first.terms[b] = 99
+    assert expand_key_into_h(b).terms == want
+    assert expand_key_into_h(b) == tallied_expansion(b)
+
+
+def test_a_tally_cache_hit_counts_one_hit(monkeypatch):
+    cache = empty_tally_cache()
+    monkeypatch.setattr(snakes, "_tally_cache", cache)
+    b = (1, 2, 0, 2)
+    cold = expand_key_into_h(b)
+    assert cache.hits == 0 and cache.misses > 0 and b in cache
+    hits, misses = cache.hits, cache.misses
+    assert expand_key_into_h(b) == cold
+    assert (cache.hits, cache.misses) == (hits + 1, misses)
 
 
 def test_matrices_are_mutually_inverse():
